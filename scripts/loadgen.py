@@ -189,11 +189,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--timeout", type=float, default=300.0,
                         help="client-side per-request timeout (seconds)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="--spawn only: Runner worker processes")
+                        help="--spawn only: supervised worker processes "
+                             "(default 1: in-process unless --supervised)")
     parser.add_argument("--supervised", action="store_true",
                         help="--spawn only: execute waves through the "
-                             "supervised worker pool (per-job process "
-                             "isolation)")
+                             "supervised worker pool even with --jobs 1 "
+                             "(implied by --jobs > 1)")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="--spawn only: enable request tracing and "
                              "write the merged Perfetto trace to PATH "

@@ -8,8 +8,9 @@ Examples::
     python -m repro.experiments fig10 --jobs 8
     python -m repro.experiments all --jobs 8   # everything, in parallel
 
-Execution control: ``--jobs N`` fans independent simulations out over N
-worker processes; results are cached on disk (``--cache-dir``, default
+Execution control: ``--jobs N`` fans independent simulations out over a
+supervised pool of N long-lived worker processes (capped at the CPU
+count; ``--wall-limit``/``--rss-limit`` bound each job); results are cached on disk (``--cache-dir``, default
 ``.repro-cache``) keyed by a content hash of the run spec + machine
 config, so re-running any figure — or a figure that shares runs with an
 earlier one — skips the simulations entirely.  ``--no-cache`` disables
@@ -27,6 +28,7 @@ from repro.config import PROTOCOLS
 from repro.experiments import figures
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.experiments.runner import Runner
+from repro.experiments.supervisor import SupervisorConfig
 from repro.faults import FAULT_PROFILES
 from repro.stats.report import bar_chart, series_table
 from repro.workloads import PAPER_ORDER
@@ -68,7 +70,7 @@ def _flatten_fig7(data):
     return flat
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.")
@@ -89,7 +91,8 @@ def main(argv=None) -> int:
                         help="emit raw JSON instead of a text table")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for independent simulations "
-                             "(default: 1, serial)")
+                             "(default: 1, in-process); N > 1 runs them on "
+                             "the supervised worker pool")
     parser.add_argument("--check", action="store_true",
                         help="run every simulation with the repro.check "
                              "invariant sanitizer enabled (slower; never "
@@ -108,22 +111,13 @@ def main(argv=None) -> int:
                         help="abort the whole batch on the first failed "
                              "simulation instead of recording structured "
                              "error results")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                        help="pooled-run watchdog: abandon outstanding "
-                             "simulations if no worker makes progress for "
-                             "SEC seconds (jobs > 1 only)")
-    parser.add_argument("--supervised", action="store_true",
-                        help="execute through the supervised worker pool: "
-                             "per-job process isolation, crash/hang "
-                             "detection, bounded retries, and a per-spec "
-                             "circuit breaker (see --wall-limit/--rss-limit)")
     parser.add_argument("--wall-limit", type=float, default=300.0,
                         metavar="SEC",
-                        help="supervised only: per-job wall-clock kill "
-                             "limit (default 300)")
+                        help="jobs > 1 only: per-job wall-clock kill limit "
+                             "(default 300)")
     parser.add_argument("--rss-limit", type=int, default=None, metavar="MB",
-                        help="supervised only: per-job address-space limit "
-                             "(default: unlimited)")
+                        help="jobs > 1 only: per-worker address-space "
+                             "limit (default: unlimited)")
     parser.add_argument("--metrics", action="store_true",
                         help="collect the observability spine's metrics "
                              "registry for every simulation and embed the "
@@ -142,7 +136,34 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         help=f"result-cache directory "
                              f"(default: {DEFAULT_CACHE_DIR})")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def build_runner(args) -> Runner:
+    """The Runner the simulation-backed experiments execute through."""
+    overrides = _fault_overrides(args)
+    if args.check:
+        overrides["check"] = True
+    if args.metrics:
+        overrides["metrics"] = True
+    if args.protocol != "dir-inv":
+        # Only non-default protocols become an override: the default must
+        # not perturb RunSpec.config_overrides (hence cache keys and the
+        # EXPERIMENTS.md stdout) for runs that never asked for a protocol.
+        overrides["protocol"] = args.protocol
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    supervisor = None
+    if args.jobs > 1:
+        # workers=0: the pool takes the Runner's CPU-capped job count.
+        supervisor = SupervisorConfig(wall_limit_s=args.wall_limit,
+                                      rss_limit_mb=args.rss_limit)
+    return Runner(jobs=args.jobs, cache=cache,
+                  config_overrides=overrides or None,
+                  fail_fast=args.fail_fast, supervisor=supervisor)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     workloads = tuple(args.workloads) if args.workloads else PAPER_ORDER
     cmps = tuple(args.cmps) if args.cmps else figures.CMP_COUNTS
@@ -168,31 +189,12 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    overrides = _fault_overrides(args)
-    if args.check:
-        overrides["check"] = True
-    if args.metrics:
-        overrides["metrics"] = True
-    if args.protocol != "dir-inv":
-        # Only non-default protocols become an override: the default must
-        # not perturb RunSpec.config_overrides (hence cache keys and the
-        # EXPERIMENTS.md stdout) for runs that never asked for a protocol.
-        overrides["protocol"] = args.protocol
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    supervisor = None
-    if args.supervised:
-        from repro.experiments.supervisor import SupervisorConfig
-        supervisor = SupervisorConfig(workers=max(1, args.jobs),
-                                      wall_limit_s=args.wall_limit,
-                                      rss_limit_mb=args.rss_limit)
-    runner = Runner(jobs=args.jobs, cache=cache,
-                    config_overrides=overrides or None,
-                    timeout=args.timeout, fail_fast=args.fail_fast,
-                    supervisor=supervisor)
+    runner = build_runner(args)
     previous_runner = figures.set_runner(runner)
     try:
         return _run_experiments(args, workloads, cmps)
     finally:
+        runner.close()
         stats = runner.total_stats
         if stats.total:
             print(f"[runner] {stats.summary()}", file=sys.stderr)

@@ -1,51 +1,55 @@
-"""Supervised worker pool: per-job isolation, limits, retry, breaker.
+"""Supervised worker pool: the Runner's one parallel execution backend.
 
-The Runner's original pooled leg hands a whole wave to one
-``ProcessPoolExecutor``: a crashed worker poisons the shared pool
-(``BrokenProcessPool`` aborts every outstanding future) and a hung
-worker can only be *abandoned*, never reaped.  This module replaces
-that bare executor with real supervision:
+A :class:`SupervisedPool` keeps up to ``workers`` long-lived child
+processes.  Each is forked lazily and runs jobs one at a time over its
+own pipe, so one death affects exactly one job while the next job lands
+on a warm worker.  A worker is replaced only when it crashes, is killed
+at the wall-clock limit, or reports a ``MemoryError`` from its
+address-space cap.  Around that fleet the pool adds:
 
-* **per-job process isolation** — every spec runs in its own
-  ``multiprocessing.Process`` with its own pipe, so one death affects
-  exactly one job;
-* **resource limits** — a wall-clock deadline per job (the supervisor
-  SIGTERM/SIGKILLs over-budget workers and reaps them) and an optional
-  address-space cap (``RLIMIT_AS``) applied inside the child, which
-  turns a runaway allocation into a clean ``MemoryError`` result;
-* **crash/hang detection with a bounded retry budget** — a worker that
-  dies without reporting is retried with exponential backoff up to
-  ``retries`` times (crashes are nondeterministic from the job's point
-  of view); a worker that exceeds its wall budget is killed and
-  reported as a structured ``Timeout``;
+* **resource limits** — a wall-clock deadline per job (over-budget
+  workers are SIGTERM/SIGKILLed and reaped) and an optional ``RLIMIT_AS``
+  cap per worker, which turns a runaway allocation into a clean
+  ``MemoryError`` result;
+* **crash/hang handling with a bounded retry budget** — a job whose
+  worker dies without reporting is retried on a fresh worker with
+  exponential backoff up to ``retries`` times (crashes are
+  nondeterministic from the job's point of view); a job past its wall
+  budget is reported as a structured ``Timeout``, never retried;
 * **a per-spec circuit breaker** — ``breaker_threshold`` consecutive
-  worker deaths for the same spec key open the breaker: further
-  attempts short-circuit to a structured ``CircuitOpen``
-  :class:`RunResult` error *without spawning a process*, so a poison
-  job cannot keep crashing workers.  After ``breaker_cooldown_s`` the
-  breaker goes half-open and admits one probe; success closes it;
-* **health-gated degradation** — a sliding window of final job
-  outcomes; when the worker-death ratio crosses
-  ``degrade_crash_ratio`` the pool halves its concurrency (down to 1)
-  and reports itself unhealthy, which the serving layer surfaces as
-  ``/healthz?ready=1`` → 503.  A clean full window grows the pool back
-  one step at a time.
+  worker deaths for one spec key short-circuit further attempts to a
+  structured ``CircuitOpen`` error *without dispatching the job*; after
+  ``breaker_cooldown_s`` one half-open probe is admitted;
+* **health-gated degradation** — when the worker-death ratio over a
+  window of outcomes crosses ``degrade_crash_ratio`` the pool halves
+  its concurrency and reports itself unhealthy (``/healthz?ready=1`` →
+  503); a clean window grows it back one step.
+
+The supervisor loop blocks in :func:`multiprocessing.connection.wait`
+on the job pipes and process sentinels, woken early only by the nearest
+wall deadline or retry time.  :meth:`SupervisedPool.close` reaps the
+idle workers.
 
 Determinism: supervision decides *whether and when* a job runs, never
-how — a job that completes produces the same bit-identical result the
-serial path produces.  Chaos profiles from
-:mod:`repro.faults.harness` inject seeded worker crashes/hangs for the
-recovery tests and the CI harness-chaos smoke.
+how — a completed job's result is bit-identical to the serial path's.
+Chaos arguments and the trace context travel with each job, not with
+the worker, so :mod:`repro.faults.harness` profiles inject seeded
+crashes/hangs per (job, attempt) for the recovery tests and the CI
+harness-chaos smoke.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
+import stat
 import time
-from collections import Counter, deque
-from dataclasses import dataclass, field
+import weakref
+from collections import Counter, deque, namedtuple
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.driver import RunResult
@@ -60,11 +64,12 @@ class SupervisorConfig:
     """Tunables of the supervised pool (never part of cache keys —
     supervision shapes scheduling, not results)."""
 
-    #: max concurrent worker processes (0 = one per available CPU)
+    #: max concurrent worker processes (0 = the Runner's CPU-capped
+    #: ``jobs``; a bare pool uses one per available CPU)
     workers: int = 0
     #: per-job wall-clock budget in seconds (None = unlimited)
     wall_limit_s: Optional[float] = 300.0
-    #: per-job address-space cap in MiB, applied in the child via
+    #: per-worker address-space cap in MiB, applied in the child via
     #: ``RLIMIT_AS`` (None = unlimited)
     rss_limit_mb: Optional[int] = None
     #: crash retries per job (hangs and deterministic errors never retry)
@@ -75,8 +80,6 @@ class SupervisorConfig:
     breaker_threshold: int = 3
     #: seconds an open breaker waits before admitting a half-open probe
     breaker_cooldown_s: float = 30.0
-    #: supervisor poll cadence
-    poll_interval_s: float = 0.02
     #: sliding window of final outcomes feeding the health gate
     degrade_window: int = 8
     #: worker-death ratio over a full window that triggers degradation
@@ -96,8 +99,7 @@ class SupervisorConfig:
             raise ValueError("degrade_window must be >= 1")
         if not 0.0 < self.degrade_crash_ratio <= 1.0:
             raise ValueError("degrade_crash_ratio must be in (0, 1]")
-        for name in ("retry_backoff_s", "poll_interval_s",
-                     "breaker_cooldown_s"):
+        for name in ("retry_backoff_s", "breaker_cooldown_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.wall_limit_s is not None and self.wall_limit_s <= 0:
@@ -171,43 +173,96 @@ class CircuitBreaker:
         return [key for key in self._opened_at if self.state(key) == OPEN]
 
 
+def error_result(spec, kind: str, message: str,
+                 attempts: int = 1) -> RunResult:
+    """Structured per-spec failure record, in-process or pooled (never
+    cached or memoized upstream)."""
+    return RunResult(
+        workload=spec.workload, mode=spec.mode, n_cmps=spec.n_cmps,
+        exec_cycles=0, policy=spec.policy,
+        error={"type": kind, "message": message, "attempts": attempts,
+               "spec": spec.label()})
+
+
 # ----------------------------------------------------------------------
 # Worker child
 # ----------------------------------------------------------------------
-def _worker_main(conn, spec, key: str, attempt: int,
-                 rss_limit_mb: Optional[int],
-                 chaos_args: Optional[Dict[str, object]],
-                 span_ctx: Optional[Dict[str, object]] = None) -> None:
-    """Child entry: apply limits, maybe inject chaos, run, report.
+def _detach_inherited_sockets(keep: int) -> None:
+    """Point every socket the fork copied, except ``keep``, at /dev/null.
+
+    Held for a worker's lifetime, the parent's sockets (a service's
+    client connections, other workers' pipes, the parent's end of this
+    one's) would keep a connection open after the parent closes it and
+    hide the parent's death from this pipe.  ``dup2`` rather than close
+    keeps the numbers taken, so a stale socket object cannot close a
+    descriptor the worker opens later.
+    """
+    null = os.open(os.devnull, os.O_RDWR)
+    for name in os.listdir("/dev/fd"):
+        fd = int(name)
+        if fd in (keep, null):
+            continue
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd)
+        except OSError:                # the listing's own, now closed, fd
+            pass
+    os.close(null)
+
+
+def _worker_main(conn, rss_limit_mb: Optional[int]) -> None:
+    """Child entry: apply limits once, then run jobs until told to stop.
+
+    Each message is ``(spec, key, attempt, chaos_args, span_ctx)`` and
+    gets one ``(kind, payload)`` reply (see :func:`_run_job`); ``None``
+    or EOF ends the loop.
+    """
+    _detach_inherited_sockets(keep=conn.fileno())
+    # The parent may run an event loop with its own signal handlers:
+    # restore the default so the supervisor's SIGTERM ends this worker,
+    # and leave Ctrl-C to the parent, which reaps its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if rss_limit_mb is not None:
+        import resource
+        limit = rss_limit_mb * 1024 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    while True:
+        try:
+            job = conn.recv()
+            if job is None:
+                return
+            conn.send(_run_job(*job, rss_limit_mb=rss_limit_mb))
+        except (EOFError, OSError):
+            return
+        # Free the finished run's reference cycles while idle, so they
+        # do not pile up under the next job's peak.
+        gc.collect()
+
+
+def _run_job(spec, key: str, attempt: int,
+             chaos_args: Optional[Dict[str, object]],
+             span_ctx: Optional[Dict[str, object]],
+             rss_limit_mb: Optional[int] = None):
+    """Run one job inside a worker; returns the ``(kind, payload)`` reply.
 
     ``span_ctx`` (a serialized :class:`~repro.obs.trace.SpanContext`)
     reconstitutes the parent request's trace in this process: the run
     executes under a ``worker.run`` span nested below it, the engine
     driver's phase spans nest below that (via the ambient trace scope),
-    and the finished spans ship home *inside* the pipe payload —
+    and the finished spans ship home *inside* the reply —
     ``("ok", {"result": ..., "spans": [...]})`` instead of the plain
     ``("ok", result)`` shape used when tracing is off, so untraced
     waves stay byte-identical to the pre-tracing protocol.
     """
     tracer = span = None
     if span_ctx is not None:
-        from repro.obs.trace import SpanContext, Tracer
+        from repro.obs.trace import SpanContext, Tracer, trace_scope
         tracer = Tracer(track=f"worker-{os.getpid()}")
         span = tracer.start_span(
             "worker.run", parent=SpanContext.from_dict(span_ctx),
             pid=os.getpid(), attempt=attempt + 1, spec=spec.label())
-
-    def _payload(data: Dict[str, object]) -> Dict[str, object]:
-        if tracer is None:
-            return data
-        span.end()
-        return dict(data, spans=tracer.span_dicts())
-
     try:
-        if rss_limit_mb is not None:
-            import resource
-            limit = rss_limit_mb * 1024 * 1024
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         if chaos_args is not None:
             fault = HarnessChaos(**chaos_args).worker_fault(key, attempt)
             if fault == "crash":
@@ -216,43 +271,61 @@ def _worker_main(conn, spec, key: str, attempt: int,
                 while True:
                     time.sleep(3600)
         from repro.experiments.runner import execute_spec
-        if tracer is not None:
-            from repro.obs.trace import trace_scope
-            with trace_scope(tracer, span):
-                result = execute_spec(spec).to_dict()
-            span.end()
-            conn.send(("ok", {"result": result,
-                              "spans": tracer.span_dicts()}))
-        else:
-            conn.send(("ok", execute_spec(spec).to_dict()))
+        if tracer is None:
+            return ("ok", execute_spec(spec).to_dict())
+        with trace_scope(tracer, span):
+            reply = ("ok", {"result": execute_spec(spec).to_dict()})
     except MemoryError:
-        try:
-            conn.send(("error", _payload(
-                {"type": "MemoryError",
-                 "message": f"address-space limit of "
-                            f"{rss_limit_mb} MiB exceeded"})))
-        except Exception:                              # pragma: no cover
-            pass
-    except BaseException as exc:
-        try:
-            conn.send(("error", _payload(
-                {"type": type(exc).__name__, "message": str(exc)})))
-        except Exception:                              # pragma: no cover
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:                              # pragma: no cover
-            pass
+        reply = ("error", {"type": "MemoryError",
+                           "message": f"address-space limit of "
+                                      f"{rss_limit_mb} MiB exceeded"})
+    except Exception as exc:
+        reply = ("error", {"type": type(exc).__name__, "message": str(exc)})
+    if tracer is not None:
+        span.end()
+        reply[1]["spans"] = tracer.span_dicts()
+    return reply
 
 
 def _mp_context():
-    """Fork where available (cheap, matches the legacy executor on
-    Linux); the platform default elsewhere."""
+    """Fork where available (cheap, and the child starts with the
+    parent's imports); the platform default elsewhere."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:                                 # pragma: no cover
         return multiprocessing.get_context()
+
+
+#: one long-lived child process and the parent's end of its pipe
+_Worker = namedtuple("_Worker", "process conn")
+
+
+def _kill(worker: _Worker) -> None:
+    """SIGTERM, then SIGKILL if needed; always reaps."""
+    worker.process.terminate()
+    worker.process.join(timeout=0.5)
+    if worker.process.is_alive():                      # pragma: no cover
+        worker.process.kill()
+        worker.process.join(timeout=5)
+    worker.conn.close()
+
+
+def _retire(worker: _Worker) -> None:
+    """Ask a worker to exit, close its pipe and reap it (a worker that
+    does not exit promptly is killed)."""
+    try:
+        worker.conn.send(None)
+    except OSError:                    # already dead: nothing to tell
+        pass
+    worker.conn.close()
+    worker.process.join(timeout=5)
+    if worker.process.is_alive():                      # pragma: no cover
+        _kill(worker)
+
+
+def _retire_all(idle: List[_Worker]) -> None:
+    while idle:
+        _retire(idle.pop())
 
 
 # ----------------------------------------------------------------------
@@ -267,12 +340,12 @@ class WaveStats:
     failed: int = 0           #: jobs resolved to a structured error
     crashes: int = 0          #: worker deaths observed
     hangs: int = 0            #: workers killed at the wall-clock limit
-    retried: int = 0          #: re-spawns after a crash
+    retried: int = 0          #: re-dispatches after a crash
     breaker_short_circuits: int = 0
 
 
 class _JobState:
-    __slots__ = ("spec", "key", "attempt", "ready_at", "process", "conn",
+    __slots__ = ("spec", "key", "attempt", "ready_at", "worker",
                  "deadline", "span")
 
     def __init__(self, spec, key: str, span=None):
@@ -280,21 +353,21 @@ class _JobState:
         self.key = key
         self.attempt = 0
         self.ready_at = 0.0
-        self.process = None
-        self.conn = None
+        self.worker: Optional[_Worker] = None
         self.deadline: Optional[float] = None
-        #: supervisor.job span (None when tracing is off); spawn/crash/
-        #: hang/retry/breaker transitions are recorded on it as events
+        #: supervisor.job span (None when tracing is off); dispatch/
+        #: crash/hang/retry/breaker transitions are recorded on it
         self.span = span
 
 
 class SupervisedPool:
     """Long-lived supervisor executing waves of unique specs.
 
-    Breaker and health state persist across waves (that is the point:
-    a poison spec stays quarantined for the pool's lifetime, and health
-    reflects recent history, not one batch).  Not thread-safe; callers
-    serialize waves exactly as they serialize ``Runner.run_batch``.
+    Workers, breaker and health state persist across waves (that is the
+    point: a warm worker serves the next wave, a poison spec stays
+    quarantined for the pool's lifetime, and health reflects recent
+    history, not one batch).  Not thread-safe; callers serialize waves
+    exactly as they serialize ``Runner.run_batch``.
     """
 
     def __init__(self, config: Optional[SupervisorConfig] = None,
@@ -316,6 +389,12 @@ class SupervisedPool:
         self._ctx = _mp_context()
         #: wave-scoped tracer (set by run_wave when tracing is on)
         self._tracer = None
+        #: workers waiting for a job; busy ones belong to their job
+        self._idle: List[_Worker] = []
+        #: close() ran since the last wave started (see close)
+        self._closed = False
+        # A pool dropped without close() still reaps its idle workers.
+        weakref.finalize(self, _retire_all, self._idle)
 
     # ------------------------------------------------------------------
     # Health gate
@@ -342,6 +421,34 @@ class SupervisedPool:
         return not self.degraded and not self.breaker.open_keys
 
     # ------------------------------------------------------------------
+    # Worker lifecycle
+    # ------------------------------------------------------------------
+    def _fork(self) -> _Worker:
+        parent_conn, child_conn = self._ctx.Pipe()
+        process = self._ctx.Process(
+            target=_worker_main,
+            args=(child_conn, self.config.rss_limit_mb),
+            daemon=True)
+        process.start()
+        child_conn.close()
+        self.counts["worker_starts"] += 1
+        return _Worker(process, parent_conn)
+
+    def _release(self, worker: _Worker) -> None:
+        """Return a worker that reported back to the idle set."""
+        self._idle.append(worker)
+        if self._closed:               # closed while this wave ran
+            _retire_all(self._idle)
+
+    def close(self) -> None:
+        """End and join every idle worker.  The pool stays usable (the
+        next wave forks afresh); a wave still running on another thread
+        (one the serve watchdog abandoned) retires its workers as they
+        report back."""
+        self._closed = True
+        _retire_all(self._idle)
+
+    # ------------------------------------------------------------------
     # Wave execution
     # ------------------------------------------------------------------
     def run_wave(self, specs, parents=None,
@@ -362,6 +469,7 @@ class SupervisedPool:
         results: Dict[object, RunResult] = {}
         pending: List[_JobState] = []
         self._tracer = tracer
+        self._closed = False
         parents = parents or {}
         for spec in specs:
             span = None
@@ -376,7 +484,7 @@ class SupervisedPool:
                 if job.span is not None:
                     job.span.event("breaker_short_circuit", key=job.key)
                     job.span.set(outcome="CircuitOpen").end()
-                results[spec] = self._error_result(
+                results[spec] = error_result(
                     spec, "CircuitOpen",
                     f"circuit breaker open for {spec.label()} after "
                     f"{self.config.breaker_threshold} consecutive worker "
@@ -388,58 +496,68 @@ class SupervisedPool:
         running: List[_JobState] = []
         try:
             while pending or running:
-                now = self.clock()
-                self._spawn_ready(pending, running, now)
-                progressed = self._poll_running(running, pending, results,
-                                                stats)
-                if not progressed:
-                    time.sleep(self.config.poll_interval_s)
+                self._dispatch_ready(pending, running)
+                self._wait(pending, running)
+                self._poll_running(running, pending, results, stats)
         finally:
             for job in running:           # only on an unexpected raise
-                self._kill(job)
+                _kill(job.worker)
         stats.completed = sum(1 for r in results.values() if r.error is None)
         self.counts["completed"] += stats.completed
         self.counts["failed"] += stats.failed
         return results, stats
 
     # ------------------------------------------------------------------
-    def _spawn_ready(self, pending: List[_JobState],
-                     running: List[_JobState], now: float) -> None:
+    def _dispatch_ready(self, pending: List[_JobState],
+                        running: List[_JobState]) -> None:
+        now = self.clock()
+        chaos_args = self.chaos.to_args() if self.chaos else None
         for job in list(pending):
             if len(running) >= self.workers:
                 return
             if job.ready_at > now:
                 continue
             pending.remove(job)
-            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-            chaos_args = self.chaos.to_args() if self.chaos else None
             span_ctx = (job.span.context.to_dict()
                         if job.span is not None else None)
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(child_conn, job.spec, job.key, job.attempt,
-                      self.config.rss_limit_mb, chaos_args, span_ctx),
-                daemon=True)
-            process.start()
-            child_conn.close()
+            message = (job.spec, job.key, job.attempt, chaos_args, span_ctx)
+            worker = self._idle.pop() if self._idle else self._fork()
+            try:
+                worker.conn.send(message)
+            except OSError:            # the idle worker died since its last job
+                _retire(worker)
+                worker = self._fork()
+                worker.conn.send(message)
             if job.span is not None:
-                job.span.event("spawn", pid=process.pid,
+                job.span.event("dispatch", pid=worker.process.pid,
                                attempt=job.attempt + 1)
-            job.process, job.conn = process, parent_conn
+            job.worker = worker
             if self.config.wall_limit_s is not None:
                 job.deadline = self.clock() + self.config.wall_limit_s
             running.append(job)
 
+    def _wait(self, pending: List[_JobState],
+              running: List[_JobState]) -> None:
+        """Block until a running job's worker reports or dies, or until
+        the nearest wall deadline or retry ``ready_at`` comes due."""
+        wake_at = [job.deadline for job in running
+                   if job.deadline is not None]
+        if len(running) < self.workers:
+            wake_at += [job.ready_at for job in pending]
+        timeout = (max(0.0, min(wake_at) - self.clock()) if wake_at
+                   else None)
+        handles = [job.worker.conn for job in running]
+        handles += [job.worker.process.sentinel for job in running]
+        multiprocessing.connection.wait(handles, timeout)
+
     def _poll_running(self, running: List[_JobState],
                       pending: List[_JobState],
                       results: Dict[object, RunResult],
-                      stats: WaveStats) -> bool:
-        progressed = False
+                      stats: WaveStats) -> None:
         for job in list(running):
             outcome = self._check_job(job)
             if outcome is None:
                 continue
-            progressed = True
             running.remove(job)
             kind, payload = outcome
             if kind == "ok":
@@ -456,7 +574,7 @@ class SupervisedPool:
                 # clean outcome.
                 self._note_outcome(False)
                 payload = self._unwrap_traced(job, payload, key="type")
-                results[job.spec] = self._error_result(
+                results[job.spec] = error_result(
                     job.spec, payload.get("type", "Error"),
                     payload.get("message", ""), job.attempt + 1)
                 stats.failed += 1
@@ -484,7 +602,7 @@ class SupervisedPool:
                 if died_hanging:
                     # A hang consumed its full wall budget; retrying
                     # risks consuming another — report and move on.
-                    results[job.spec] = self._error_result(
+                    results[job.spec] = error_result(
                         job.spec, "Timeout",
                         f"worker exceeded the {self.config.wall_limit_s}s "
                         f"wall-clock limit and was killed",
@@ -498,20 +616,18 @@ class SupervisedPool:
                         job.attempt += 1
                         stats.retried += 1
                         self.counts["retries"] += 1
-                        job.ready_at = self.clock() + (
-                            self.config.retry_backoff_s
-                            * 2 ** (job.attempt - 1))
-                        job.process = job.conn = job.deadline = None
+                        backoff_s = (self.config.retry_backoff_s
+                                     * 2 ** (job.attempt - 1))
+                        job.ready_at = self.clock() + backoff_s
+                        job.worker = job.deadline = None
                         if job.span is not None:
-                            job.span.event(
-                                "retry", attempt=job.attempt + 1,
-                                backoff_s=self.config.retry_backoff_s
-                                * 2 ** (job.attempt - 1))
+                            job.span.event("retry", attempt=job.attempt + 1,
+                                           backoff_s=backoff_s)
                         pending.append(job)
                     else:
                         reason = ("circuit breaker opened" if not allowed
                                   else "retry budget exhausted")
-                        results[job.spec] = self._error_result(
+                        results[job.spec] = error_result(
                             job.spec, "WorkerCrash",
                             f"worker died {job.attempt + 1} time(s) running "
                             f"{job.spec.label()} ({reason})",
@@ -520,7 +636,6 @@ class SupervisedPool:
                         if job.span is not None:
                             job.span.set(outcome="WorkerCrash",
                                          reason=reason).end()
-        return progressed
 
     def _unwrap_traced(self, job: _JobState, payload, key: str = "result"):
         """Undo the traced pipe-payload wrapping: adopt the worker's
@@ -536,66 +651,37 @@ class SupervisedPool:
         return payload
 
     def _check_job(self, job: _JobState):
-        """``None`` while still running, else ``(kind, payload)``."""
-        if job.conn.poll():
+        """``None`` while still running, else ``(kind, payload)``.  A
+        worker that reported is released, unless it hit its address-
+        space cap (``MemoryError``): that one is retired."""
+        worker = job.worker
+        if worker.conn.poll():
             try:
-                message = job.conn.recv()
+                message = worker.conn.recv()
             except (EOFError, OSError):
                 message = None
-            self._reap(job)
-            if isinstance(message, tuple) and len(message) == 2:
-                return message
-            return ("crash", None)
-        if not job.process.is_alive():
+            if not (isinstance(message, tuple) and len(message) == 2
+                    and isinstance(message[1], dict)):
+                _retire(worker)
+                return ("crash", None)
+            if message[0] == "error" \
+                    and message[1].get("type") == "MemoryError":
+                _retire(worker)
+            else:
+                self._release(worker)
+            return message
+        if not worker.process.is_alive():
             # Exited without (or racing) a message: one last poll.
-            if job.conn.poll():
+            if worker.conn.poll():
                 return self._check_job(job)
-            self._reap(job)
+            _retire(worker)
             return ("crash", None)
         if job.deadline is not None and self.clock() >= job.deadline:
-            self._kill(job)
+            _kill(worker)
             return ("hang", None)
         return None
 
-    def _reap(self, job: _JobState) -> None:
-        try:
-            job.process.join(timeout=5)
-        except Exception:                              # pragma: no cover
-            pass
-        try:
-            job.conn.close()
-        except Exception:                              # pragma: no cover
-            pass
-
-    def _kill(self, job: _JobState) -> None:
-        process = job.process
-        if process is None:
-            return
-        try:
-            process.terminate()
-            process.join(timeout=0.5)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5)
-        except Exception:                              # pragma: no cover
-            pass
-        try:
-            job.conn.close()
-        except Exception:                              # pragma: no cover
-            pass
-
     # ------------------------------------------------------------------
-    @staticmethod
-    def _error_result(spec, kind: str, message: str,
-                      attempts: int) -> RunResult:
-        """Structured failure in the Runner's error shape (never
-        cached/memoized upstream)."""
-        return RunResult(
-            workload=spec.workload, mode=spec.mode, n_cmps=spec.n_cmps,
-            exec_cycles=0, policy=spec.policy,
-            error={"type": kind, "message": message, "attempts": attempts,
-                   "spec": spec.label()})
-
     def stats(self) -> Dict[str, object]:
         """Counters + breaker/health state for ``/metrics`` re-export."""
         data: Dict[str, object] = dict(self.counts)

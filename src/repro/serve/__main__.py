@@ -18,10 +18,12 @@ bus categories, streaming admission/batch/completion events to stderr.
 
 Durability & supervision: ``--journal-dir DIR`` arms the write-ahead
 job journal — a ``kill -9`` mid-wave loses no accepted work; the next
-start replays unresolved jobs before reporting ready.  ``--supervised``
-runs each job in its own watched process (``--wall-limit`` /
-``--rss-limit`` / ``--retries``, circuit breaker for poison specs), and
-``--chaos PROFILE`` arms deterministic harness faults for drills.
+start replays unresolved jobs before reporting ready.  ``--jobs N``
+(N > 1) runs waves on a supervised pool of N long-lived worker
+processes; ``--supervised`` does the same with one worker.  The pool
+watches every job (``--wall-limit`` / ``--rss-limit`` / ``--retries``,
+circuit breaker for poison specs), and ``--chaos PROFILE`` arms
+deterministic harness faults for drills.
 SIGTERM triggers a graceful drain bounded by ``--drain-timeout``.
 """
 
@@ -70,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "resolve as structured Timeout errors "
                              f"(default {defaults.job_timeout_s})")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="Runner worker processes per wave (default 1)")
+                        help="supervised worker processes per wave "
+                             "(default 1: in-process unless --supervised)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -99,17 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
     durability.add_argument("--supervised", action="store_true",
                             help="run waves through the supervised worker "
                                  "pool (per-job isolation, crash/hang "
-                                 "detection, retries, circuit breaker)")
+                                 "detection, retries, circuit breaker) "
+                                 "even with --jobs 1; implied by --jobs > 1")
     durability.add_argument("--wall-limit", type=float, default=300.0,
                             metavar="SEC",
-                            help="supervised: per-job wall-clock limit "
+                            help="pooled: per-job wall-clock limit "
                                  "(default 300)")
     durability.add_argument("--rss-limit", type=int, default=None,
                             metavar="MB",
-                            help="supervised: per-job address-space limit "
+                            help="pooled: per-worker address-space limit "
                                  "(default: unlimited)")
     durability.add_argument("--retries", type=int, default=2,
-                            help="supervised: crash retry budget per job "
+                            help="pooled: crash retry budget per job "
                                  "(default 2)")
     durability.add_argument("--chaos", default=None, metavar="PROFILE",
                             choices=sorted(HARNESS_PROFILES),
@@ -132,19 +136,13 @@ def make_server(args) -> ServiceServer:
         trace=args.trace_out is not None)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     supervisor = None
-    if args.supervised:
+    if args.supervised or args.jobs > 1:
+        # workers=0: the pool takes the Runner's CPU-capped job count.
         supervisor = SupervisorConfig(
-            workers=max(1, args.jobs), wall_limit_s=args.wall_limit,
-            rss_limit_mb=args.rss_limit, retries=args.retries,
-            chaos_profile=args.chaos, chaos_seed=args.chaos_seed)
-    # The Runner's pooled-progress watchdog backs the serve-level one:
-    # with --jobs > 1 a wave that stalls is first abandoned worker-by-
-    # worker inside the Runner, and only a wholly wedged wave trips the
-    # asyncio deadline above it.  --supervised replaces that pool with
-    # per-job isolated processes whose own wall/RSS limits fire first.
-    runner = Runner(jobs=args.jobs, cache=cache,
-                    timeout=args.timeout if args.jobs > 1 else None,
-                    supervisor=supervisor)
+            wall_limit_s=args.wall_limit, rss_limit_mb=args.rss_limit,
+            retries=args.retries, chaos_profile=args.chaos,
+            chaos_seed=args.chaos_seed)
+    runner = Runner(jobs=args.jobs, cache=cache, supervisor=supervisor)
     server = ServiceServer(runner=runner, config=config)
     if args.verbose:
         def printer(now, category, subject, detail, event_args):
@@ -161,7 +159,8 @@ async def _amain(args) -> int:
           f"batch_window={server.config.batch_window_s}s, "
           f"jobs={server.service.runner.jobs_effective}, "
           f"journal={args.journal_dir or 'off'}, "
-          f"supervised={args.supervised})", file=sys.stderr, flush=True)
+          f"supervised={server.service.runner.pool is not None})",
+          file=sys.stderr, flush=True)
     loop = asyncio.get_running_loop()
     drained = asyncio.Event()
 

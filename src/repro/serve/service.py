@@ -17,8 +17,8 @@ it:
 3. **batching** — admitted jobs are gathered for ``batch_window_s`` (or
    until ``max_batch``) and executed as one
    :meth:`~repro.experiments.runner.Runner.run_batch` wave, inheriting
-   the runner's in-batch dedup, memo, disk cache, pooling, crash retry,
-   and pooled-progress watchdog;
+   the runner's in-batch dedup, memo, disk cache and, when pooled, the
+   supervised worker pool's isolation, limits, crash retry and breaker;
 4. **observation** — every stage feeds the ``repro.obs`` spine: probes on
    a wall-clock bus (``serve.request`` / ``serve.shed`` / ``serve.batch``
    / ``serve.done`` / ``serve.timeout``) and a
@@ -27,14 +27,15 @@ it:
    histogram that ``/metrics`` turns into p50/p95 gauges).
 
 A wall-clock watchdog guards each wave: jobs unresolved after
-``job_timeout_s`` resolve to the same structured ``error.type ==
-"Timeout"`` record the Runner's pooled watchdog produces.  The
-simulation thread itself cannot be killed (the Runner's serial leg has
-the same caveat), so a deliberately-stalled run — e.g. the fault layer's
+``job_timeout_s`` resolve to a structured ``error.type == "Timeout"``
+record, the shape the pool's per-job wall limit also produces.  The
+wave's thread itself cannot be killed (an in-process run cannot be
+interrupted), so a deliberately-stalled run — e.g. the fault layer's
 ``blackhole`` profile, where every coherence request is dropped and only
 ``max_cycles`` terminates the run — unblocks its *clients* immediately
-while the worker thread drains in the background; its late result is
-discarded.
+while the thread drains in the background; its late result is
+discarded.  :meth:`SimulationService.stop` reaps the pool's idle
+workers, so no worker outlives its service.
 
 Bit-identity contract: the service never touches how a spec executes —
 it only decides *when* and *batched with what*.  A served result is
@@ -321,6 +322,7 @@ class SimulationService:
                     journal=False)
         if self._journal is not None:
             self._journal.close()
+        self.runner.close()
 
     async def drain(self, timeout_s: Optional[float] = None) -> None:
         """Graceful shutdown: refuse new work (503), wait for in-flight

@@ -132,6 +132,19 @@ def test_oversubscribed_jobs_capped_to_cpu_count(monkeypatch, capsys):
     assert "jobs=8" in note and "capping pool workers at 2" in note
 
 
+def test_cli_pool_workers_capped_at_cpu_count(monkeypatch):
+    """``--jobs 8`` on 2 CPUs: the pool takes the Runner's cap."""
+    import repro.experiments.runner as runner_mod
+    from repro.experiments.__main__ import build_parser, build_runner
+    monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 2)
+    runner = build_runner(build_parser().parse_args(
+        ["fig1", "--jobs", "8", "--no-cache", "--wall-limit", "60"]))
+    assert runner.pool.configured_workers == runner.jobs_effective == 2
+    assert runner.pool.config.wall_limit_s == 60
+    serial = build_parser().parse_args(["fig1", "--no-cache"])
+    assert build_runner(serial).pool is None
+
+
 def test_jobs_within_cpu_count_not_capped_and_silent(monkeypatch, capsys):
     import repro.experiments.runner as runner_mod
     monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 4)

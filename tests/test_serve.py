@@ -16,7 +16,9 @@ Covers the four pipeline stages end to end over real HTTP:
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import multiprocessing
 import threading
 import time
 
@@ -25,6 +27,7 @@ import pytest
 from repro.config import ServiceConfig
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import Runner, RunSpec, execute_spec
+from repro.experiments.supervisor import SupervisorConfig
 from repro.faults import FAULT_PROFILES
 from repro.obs.registry import _split_name, series_name
 from repro.serve import (Client, ServerThread, ServiceError, ServiceRunner,
@@ -428,9 +431,8 @@ def test_cli_make_server_wires_config_cache_and_verbose(capsys):
     assert server.config.max_queue == 3
     assert server.config.job_timeout_s == 9
     assert server.service.runner.cache is None
-    # --jobs 1 (default): the serve watchdog stands alone, the Runner's
-    # pooled-progress watchdog stays off
-    assert server.service.runner.timeout is None
+    # --jobs 1 (default) without --supervised: waves run in-process
+    assert server.service.runner.pool is None
 
 
 def test_cli_make_server_durability_flags(tmp_path):
@@ -453,6 +455,36 @@ def test_cli_make_server_durability_flags(tmp_path):
     assert pool.config.retries == 1
     assert pool.chaos is not None and pool.chaos.seed == 9
     assert server.service._journal is not None
+
+
+def test_cli_pool_workers_capped_at_cpu_count(monkeypatch):
+    """--jobs above the CPU count sizes the pool at the Runner's cap,
+    with or without --supervised."""
+    import repro.experiments.runner as runner_mod
+    from repro.serve import __main__ as cli
+
+    monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 2)
+    for flags in (["--jobs", "8"], ["--jobs", "8", "--supervised"]):
+        args = cli.build_parser().parse_args(
+            ["--port", "0", "--no-cache", *flags])
+        runner = cli.make_server(args).service.runner
+        assert runner.pool.configured_workers == runner.jobs_effective == 2
+
+
+def test_stop_reaps_every_pool_worker():
+    """A worker forked while a request's connection is open must not
+    hold it (a client reading to EOF still gets its answer), and stop
+    reaps every worker."""
+    runner = Runner(supervisor=SupervisorConfig(workers=2))
+    with serve(runner=runner) as harness:
+        for spec in (SMALL, OTHER):
+            status, _, body = asyncio.run(protocol.http_request(
+                harness.host, harness.port, "POST", "/runs",
+                {"spec": spec}, timeout=30))
+            assert status == 200 and body["result"]["error"] is None
+        assert multiprocessing.active_children()     # warm, idle workers
+    gc.collect()
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_amain_starts_serves_and_shuts_down(capsys):

@@ -4,15 +4,31 @@ crash/hang/poison handling, limits, and Runner integration
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
+import repro.experiments.runner as runner_mod
 from repro.experiments.runner import Runner, RunSpec
 from repro.experiments.supervisor import (CLOSED, HALF_OPEN, OPEN,
                                           CircuitBreaker, SupervisedPool,
                                           SupervisorConfig)
 from repro.faults.harness import HarnessChaos
+from repro.obs.trace import Tracer
+from repro.serve.service import deterministic_dict
 
 SMALL = RunSpec(workload="sor", mode="single", n_cmps=2)
+
+
+def crash_once(spec) -> HarnessChaos:
+    """Seeded sub-1.0 crash rate whose first draw for ``spec`` crashes
+    and whose retry draw is clean."""
+    def chaos(seed):
+        return HarnessChaos(seed=seed, worker_crash_rate=0.5)
+    key = spec.key()
+    return chaos(next(s for s in range(1000)
+                      if chaos(s).worker_fault(key, 0) == "crash"
+                      and chaos(s).worker_fault(key, 1) is None))
 
 
 def pool(**kwargs):
@@ -140,22 +156,14 @@ def test_poison_spec_trips_breaker_then_short_circuits():
 
 
 def test_crash_retry_recovers_on_a_clean_redraw():
-    # Seeded sub-1.0 crash rate: find a seed whose first draw crashes
-    # and whose retry draw is clean, then prove the retry succeeds.
-    key = SMALL.key()
-    seed = next(s for s in range(1000)
-                if HarnessChaos(seed=s, worker_crash_rate=0.5)
-                .worker_fault(key, 0) == "crash"
-                and HarnessChaos(seed=s, worker_crash_rate=0.5)
-                .worker_fault(key, 1) is None)
     supervised = pool(retries=2)
-    supervised.chaos = HarnessChaos(seed=seed, worker_crash_rate=0.5)
+    supervised.chaos = crash_once(SMALL)
     results, stats = supervised.run_wave([SMALL])
     assert results[SMALL].error is None
     assert stats.crashes == 1 and stats.retried == 1
     assert supervised.counts["retries"] == 1
     # the success closed the breaker bookkeeping for the key
-    assert supervised.breaker.allow(key)
+    assert supervised.breaker.allow(SMALL.key())
 
 
 def test_hang_is_killed_at_the_wall_limit_without_retry():
@@ -183,6 +191,54 @@ def test_rss_limit_turns_runaway_allocation_into_memory_error():
         assert result.error["type"] == "MemoryError"
         assert stats.failed == 1
     assert stats.crashes == 0
+
+
+def test_workers_are_reused_and_replaced_only_after_a_failure(monkeypatch):
+    """One warm worker runs job after job; a crash, or a MemoryError at
+    the address-space cap, moves the next job to a new worker.  Results
+    stay bit-identical to serial."""
+    other = RunSpec(workload="sor", mode="double", n_cmps=2)
+    hog = RunSpec(workload="sor", mode="single", n_cmps=4)
+    real = runner_mod.execute_spec
+
+    def execute(spec):
+        if spec == hog:           # far beyond the cap set below
+            bytearray(512 * 1024 * 1024)
+        return real(spec)
+
+    monkeypatch.setattr(runner_mod, "execute_spec", execute)
+    with open("/proc/self/status") as status:
+        vm_mib = next(int(line.split()[1]) // 1024 for line in status
+                      if line.startswith("VmSize:"))
+    supervised = pool(workers_override=1, rss_limit_mb=vm_mib + 256)
+    serial = Runner(cache=None)
+
+    def run(spec):
+        """One traced wave: (deterministic result, worker pid)."""
+        tracer = Tracer()
+        root = tracer.start_span("request")
+        results, _ = supervised.run_wave([spec], tracer=tracer,
+                                         parents={spec: root.context})
+        return deterministic_dict(results[spec]), next(
+            s.attrs["pid"] for s in tracer.spans() if s.name == "worker.run")
+
+    first, pid = run(SMALL)
+    second, same = run(other)
+    assert same == pid and supervised.counts["worker_starts"] == 1
+    assert first == deterministic_dict(serial.run(SMALL))
+    assert second == deterministic_dict(serial.run(other))
+    supervised.chaos = crash_once(SMALL)
+    again, retried = run(SMALL)
+    supervised.chaos = None
+    assert retried != pid and again == first     # the crash cost the worker
+    hogged, hog_pid = run(hog)
+    assert hog_pid == retried                    # the replacement stayed warm
+    assert hogged["error"]["type"] == "MemoryError"
+    last, fresh = run(other)
+    assert fresh != hog_pid and last == second   # MemoryError retired it
+    assert supervised.counts["worker_starts"] == 3
+    supervised.close()
+    assert fresh not in {c.pid for c in multiprocessing.active_children()}
 
 
 def test_health_gate_degrades_and_recovers():

@@ -27,9 +27,9 @@ import json
 import pytest
 
 from repro.config import ServiceConfig
-from repro.experiments.runner import Runner, RunSpec, _pool_worker, \
-    execute_spec
-from repro.experiments.supervisor import SupervisedPool, SupervisorConfig
+from repro.experiments.runner import Runner, RunSpec, execute_spec
+from repro.experiments.supervisor import (SupervisedPool, SupervisorConfig,
+                                          _run_job)
 from repro.faults import FAULT_PROFILES
 from repro.faults.harness import HarnessChaos
 from repro.obs import analyze
@@ -187,8 +187,9 @@ def test_engine_without_scope_emits_nothing():
 # ----------------------------------------------------------------------
 # Cross-process propagation: pooled and supervised workers
 # ----------------------------------------------------------------------
-def test_untraced_pool_worker_payload_shape_unchanged():
-    payload = _pool_worker(SMALL)
+def test_untraced_supervised_wire_shape_unchanged():
+    kind, payload = _run_job(SMALL, SMALL.key(), 0, None, None)
+    assert kind == "ok"
     assert "spans" not in payload
     assert payload["workload"] == "sor"          # the plain result dict
 
@@ -228,7 +229,7 @@ def test_supervised_wave_nests_worker_spans_under_request():
     assert job.context.parent_id == root.context.span_id
     assert worker.context.trace_id == root.context.trace_id
     assert worker.context.parent_id == job.context.span_id
-    assert any(name == "spawn" for _, name, _ in job.events)
+    assert any(name == "dispatch" for _, name, _ in job.events)
     assert job.attrs["outcome"] == "ok"
 
 
