@@ -172,12 +172,6 @@ class MachineConfig:
     #: directoryless shared-LLC variant with sync-point
     #: self-invalidation).  Participates in the result-cache key.
     protocol: str = "dir-inv"
-    #: dispatch coherence events through the declarative protocol table
-    #: (repro.memory.proto).  Cycle-identical to the hand-written
-    #: generators by construction; False keeps the original generator
-    #: dispatch as the differential-testing oracle — legal only under
-    #: "dir-inv", the one protocol the legacy code implements.
-    proto_engine: bool = True
 
     def __post_init__(self) -> None:
         if self.n_cmps < 1:
@@ -213,10 +207,6 @@ class MachineConfig:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; known: "
                 f"{', '.join(PROTOCOLS)}")
-        if not self.proto_engine and self.protocol != "dir-inv":
-            raise ValueError(
-                "proto_engine=False keeps the legacy generator dispatch, "
-                "which implements dir-inv only")
 
     def with_overrides(self, **kwargs) -> "MachineConfig":
         """Return a copy with the given fields replaced."""

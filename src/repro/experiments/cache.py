@@ -36,8 +36,9 @@ from repro.experiments.driver import RunResult
 from repro.workloads.tape import TAPE_FORMAT_VERSION
 
 #: bump when the serialized RunResult layout (or key payload) changes
-CACHE_FORMAT_VERSION = 6  # v6: protocol engine (MachineConfig.protocol +
+CACHE_FORMAT_VERSION = 7  # v6: protocol engine (MachineConfig.protocol +
 #                           proto_engine; RunResult.protocol is mandatory)
+#                           v7: one engine, the oracle flag left the config
 
 #: default cache location (overridable via the environment or --cache-dir)
 DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")

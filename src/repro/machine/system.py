@@ -43,8 +43,8 @@ class System:
             from repro.obs import Observability
             self.obs = self.engine.install_obs(
                 Observability(self.engine, metrics=metrics))
-        #: event tracer shared by the fabric and node controllers; a
-        #: do-nothing singleton unless ``trace`` is requested.  Checked
+        #: event tracer of the run, fed from the bus; a do-nothing
+        #: singleton unless ``trace`` is requested.  Checked
         #: runs keep a small ring of recent events so an
         #: InvariantViolation can carry context even without full tracing.
         if trace:
@@ -77,8 +77,7 @@ class System:
         self.allocator = SharedAllocator(self.space)
         self.classifier: Optional[RequestClassifier] = (
             RequestClassifier() if classify_requests else None)
-        self.fabric = CoherenceFabric(self.engine, config, self.space,
-                                      tracer=self.tracer)
+        self.fabric = CoherenceFabric(self.engine, config, self.space)
         self.nodes: List[CmpNode] = [
             CmpNode(self.engine, config, node_id, self.fabric, self.space,
                     classifier=self.classifier)

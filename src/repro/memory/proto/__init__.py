@@ -13,8 +13,8 @@ free of stall cycles before it is ever simulated.
 Registered variants:
 
 * ``dir-inv`` — the paper's invalidate-based fully-mapped directory
-  protocol plus the Section-4 slipstream extensions (baseline;
-  bit-identical to the former hand-written generators),
+  protocol plus the Section-4 slipstream extensions (baseline; the
+  digests in ``tests/fixtures/proto_digests.json`` are its reference),
 * ``dls`` — a directoryless shared-LLC protocol: owner pointer only,
   sync-point self-invalidation instead of sharer tracking.
 

@@ -5,9 +5,9 @@ ProtocolTable` to one :class:`~repro.memory.protocol.CoherenceFabric`
 and dispatches directory-side events through it.  The timed actions
 reuse the fabric's transaction machinery (``_intervene``,
 ``_invalidate_sharers``, ``_send_si_hint``, the bare-int ``mem_time``
-yields), so a table row charges exactly the Table-1 resources the
-hand-written generators charged — the dispatch layer adds bookkeeping,
-never cycles.
+yields), so a table row charges exactly the Table-1 resources of the
+real message path — the dispatch layer adds bookkeeping, never cycles
+(``tests/fixtures/proto_digests.json`` is the reference).
 
 Two entry points:
 

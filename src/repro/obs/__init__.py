@@ -21,8 +21,8 @@ through it: ``Engine.install_checker``/``install_faults`` now route here
 (still mirroring onto ``engine.checker``/``engine.faults`` so every
 existing ``is None`` hook site is untouched), and the legacy ``Tracer``
 rides along as a thin bus subscriber restricted to the event categories
-it historically recorded — its API, counts, and ring contents are
-unchanged.
+it historically recorded; no component holds a tracer.  Its event
+stream is pinned by the digests in ``tests/fixtures/proto_digests.json``.
 
 The zero-overhead contract, restated: a machine built without a spine
 has ``engine.obs is None``; components then hold ``None`` probes and an

@@ -2,9 +2,10 @@
 
 Four concerns:
 
-* **differential identity** — the interpreter running the ``dir-inv``
-  table must be bit-identical to the former hand-written generators
-  (``proto_engine=False``), including the paper's 170/290-cycle pins;
+* **frozen identity** — the interpreter running the ``dir-inv`` table
+  must reproduce the digests the former hand-written generators were
+  frozen into (``fixtures/proto_digests.json``), and keep the paper's
+  170/290-cycle pins;
 * **lint** — the static pass is clean on every registered table and
   catches each class of seeded corruption;
 * **dls semantics** — the directoryless variant never invalidates, never
@@ -14,6 +15,9 @@ Four concerns:
 """
 
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -23,13 +27,13 @@ from repro.experiments.driver import RunResult, run_mode
 from repro.experiments.runner import RunSpec
 from repro.machine.system import System
 from repro.memory.cache import MODIFIED, SHARED as L_SHARED
-from repro.memory.directory import EXCLUSIVE, SHARED as DIR_SHARED, UNCACHED
+from repro.memory.directory import EXCLUSIVE, UNCACHED
 from repro.memory.proto import (ProtocolHole, Reply, Row, protocol_names,
                                 table_by_name)
 from repro.memory.proto.dir_inv import TABLE as DIR_INV
 from repro.memory.proto.dls import TABLE as DLS
 from repro.memory.proto.lint import lint_all, lint_table
-from repro.memory.proto.table import Capabilities, Event
+from repro.memory.proto.table import Event
 from repro.sim import Process
 from repro.workloads.fft import FFT
 from repro.workloads.sor import SOR
@@ -90,13 +94,6 @@ def test_config_rejects_unknown_protocol():
         MachineConfig(protocol="mesi")
 
 
-def test_config_rejects_legacy_engine_for_non_baseline():
-    """The hand-written generators only implement dir-inv; asking them
-    to run dls must fail loudly, not silently run the wrong protocol."""
-    with pytest.raises(ValueError, match="proto_engine"):
-        MachineConfig(protocol="dls", proto_engine=False)
-
-
 # ----------------------------------------------------------------------
 # Paper latencies, per protocol
 # ----------------------------------------------------------------------
@@ -118,38 +115,89 @@ def test_remote_clean_miss_is_290_cycles(protocol):
     assert result.state == L_SHARED
 
 
-def test_legacy_engine_matches_pins_too():
-    system = System(tiny_config(n_cmps=4, proto_engine=False))
-    line = local_line(system, node=2)
-    _, elapsed = run_fetch(system, 0, line, "read")
-    assert elapsed == 290
-
-
 # ----------------------------------------------------------------------
-# Differential identity: table engine vs hand-written generators
+# Frozen identity: the dir-inv table vs the former generators' digests
 # ----------------------------------------------------------------------
 TINY_SOR = lambda: SOR(rows=24, cols=16, iterations=2)
 TINY_FFT = lambda: FFT(n1=16)
 
+#: The hand-written dir-inv generators were retired behind this fixture:
+#: both engines ran every point below and agreed on both digests, which
+#: were then frozen.  Regenerate (only for an intended behaviour change)
+#: with ``PYTHONPATH=src python -m tests.test_proto``.
+DIGESTS = Path(__file__).parent / "fixtures" / "proto_digests.json"
+
+_EXT = dict(transparent=True, si=True, migratory=True)
+
+#: point -> (workload factory, config overrides, mode, run_mode flags);
+#: the faults point drops request messages, which drives _request_hop
+DIGEST_POINTS = {
+    "sor-single": (TINY_SOR, {}, "single", {}),
+    "sor-double": (TINY_SOR, {}, "double", {}),
+    "sor-slipstream": (TINY_SOR, {}, "slipstream", {}),
+    "fft-ext": (TINY_FFT, {}, "slipstream", _EXT),
+    "fft-ext-faults": (TINY_FFT,
+                       dict(faults=True, fault_net_drop_rate=0.2),
+                       "slipstream", _EXT),
+}
+
+
+def _sha(payload) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def point_digests(name, **config_overrides):
+    """SHA-256 of the run's serialized result (less wall time) and of its
+    traced event stream ``[(time, category, subject, detail)]``."""
+    factory, overrides, mode, flags = DIGEST_POINTS[name]
+    config = scaled_config(2, **overrides, **config_overrides)
+    result = run_mode(factory(), config, mode, **flags).to_dict()
+    del result["wall_seconds"]
+    tracer = run_mode(factory(), config, mode, trace=True, **flags).tracer
+    assert tracer.dropped == 0
+    events = [(e.time, e.category, e.subject, e.detail)
+              for e in tracer.events()]
+    return {"result": _sha(result), "events": _sha(events)}
+
+
+def _frozen(name):
+    return json.loads(DIGESTS.read_text())[name]
+
 
 @pytest.mark.parametrize("mode", ["single", "double", "slipstream"])
 def test_table_engine_bit_identical_to_generators(mode):
-    """Same workload, same config, engine on vs off: every serialized
-    field must agree — cycles, breakdowns, fabric counters, the lot."""
-    on = run_mode(TINY_SOR(), scaled_config(2, proto_engine=True), mode)
-    off = run_mode(TINY_SOR(), scaled_config(2, proto_engine=False), mode)
-    assert on.to_dict() == off.to_dict()
+    """Every serialized field (cycles, breakdowns, fabric counters, the
+    lot) and every traced event must match the generators' digests."""
+    name = f"sor-{mode}"
+    assert point_digests(name) == _frozen(name)
 
 
 def test_table_engine_identity_with_extensions():
     """Transparent loads + SI hints + migratory exercise every dir-inv
-    row class; the table must still be bit-identical."""
-    kw = dict(transparent=True, si=True, migratory=True)
-    on = run_mode(TINY_FFT(), scaled_config(2, proto_engine=True),
-                  "slipstream", **kw)
-    off = run_mode(TINY_FFT(), scaled_config(2, proto_engine=False),
-                   "slipstream", **kw)
-    assert on.to_dict() == off.to_dict()
+    row class; the table must still match the generators' digests."""
+    assert point_digests("fft-ext") == _frozen("fft-ext")
+
+
+def test_table_engine_identity_under_request_drops():
+    assert point_digests("fft-ext-faults") == _frozen("fft-ext-faults")
+
+
+def test_frozen_digests_catch_a_corrupted_row(monkeypatch):
+    """The fixture has teeth: dropping the memory read from dir-inv's
+    (U, GETS) row shortens clean read misses and must move a digest."""
+    import repro.memory.protocol as fabric_module
+
+    def corrupted(name):
+        table = table_by_name(name)
+        return replace_rows(table, [
+            dataclasses.replace(r, actions=tuple(
+                a for a in r.actions if a != "mem_read"))
+            if r.state == UNCACHED and r.event == Event.GETS else r
+            for r in table.rows])
+
+    monkeypatch.setattr(fabric_module, "table_by_name", corrupted)
+    assert point_digests("sor-single") != _frozen("sor-single")
 
 
 # ----------------------------------------------------------------------
@@ -398,3 +446,9 @@ def test_cache_quarantines_protocol_less_entry(tmp_path):
     assert cache.get(key) is None
     assert cache.quarantined == 1
     assert cache._path(key).with_name(key + ".json.corrupt").exists()
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(
+        {name: point_digests(name) for name in DIGEST_POINTS},
+        indent=2, sort_keys=True) + "\n")
