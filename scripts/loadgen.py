@@ -192,7 +192,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="--spawn only: supervised worker processes "
                              "(default 1: in-process unless --supervised)")
     parser.add_argument("--supervised", action="store_true",
-                        help="--spawn only: execute waves through the "
+                        help="--spawn only: execute misses on the "
                              "supervised worker pool even with --jobs 1 "
                              "(implied by --jobs > 1)")
     parser.add_argument("--trace-out", default=None, metavar="PATH",

@@ -264,6 +264,8 @@ class Runner:
             self.pool = SupervisedPool(supervisor, workers=workers)
         self._memo: Dict[RunSpec, RunResult] = {}
         self.last_stats: Optional[BatchStats] = None
+        #: everything this Runner did; replaced, never mutated in place,
+        #: so a caller holding an earlier value keeps a snapshot
         self.total_stats = BatchStats(jobs=self.jobs_effective,
                                       jobs_requested=jobs)
         #: request tracer (repro.obs.trace), set by the serving layer.
@@ -282,6 +284,9 @@ class Runner:
         """Execute all ``specs``; returns results in spec order.
 
         Duplicate specs share one simulation (and one result object).
+        Each unique spec goes through :meth:`lookup`; the misses run
+        (on the pool, or here via :meth:`execute`) and go through
+        :meth:`record`.
 
         ``parents`` — aligned with ``specs`` — carries per-request
         :class:`~repro.obs.trace.SpanContext` objects (or ``None``
@@ -291,55 +296,32 @@ class Runner:
         across in-batch duplicates.
         """
         started = time.perf_counter()
-        if self.config_overrides:
-            specs = [spec.with_config_overrides(**self.config_overrides)
-                     for spec in specs]
-        stats = BatchStats(total=len(specs), jobs=self.jobs_effective,
-                           jobs_requested=self.jobs)
+        specs = [self.prepare(spec) for spec in specs]
+        unique = list(dict.fromkeys(specs))
+        stats = BatchStats(total=len(specs) - len(unique),
+                           jobs=self.jobs_effective, jobs_requested=self.jobs)
         results: Dict[RunSpec, RunResult] = {}
 
-        tracer = self.tracer
         parent_map: Dict[RunSpec, object] = {}
-        if tracer is not None and parents is not None:
+        if self.tracer is not None and parents is not None:
             for spec, ctx in zip(specs, parents):
                 if ctx is not None and spec not in parent_map:
                     parent_map[spec] = ctx
 
-        pending: List[RunSpec] = []
-        for spec in specs:
-            if spec in results or spec in pending:
-                continue
-            memoized = self._memo.get(spec)
-            if memoized is not None:
-                results[spec] = memoized
-                stats.memo_hits += 1
-                if tracer is not None:
-                    tracer.start_span("runner.memo_hit",
-                                      parent=parent_map.get(spec),
-                                      spec=spec.label()).end()
-            else:
-                pending.append(spec)
-        stats.unique = len(pending) + stats.memo_hits
-
+        keys: Dict[RunSpec, Optional[str]] = {}
         misses: List[RunSpec] = []
-        if self.cache is not None:
-            for spec in pending:
-                cached = self.cache.get(spec.key())
-                if cached is not None:
-                    results[spec] = cached
-                    stats.cache_hits += 1
-                    if tracer is not None:
-                        tracer.start_span("runner.cache_hit",
-                                          parent=parent_map.get(spec),
-                                          spec=spec.label()).end()
-                else:
-                    misses.append(spec)
-        else:
-            misses = pending
+        for spec in unique:
+            key = keys[spec] = (spec.key() if self.cache is not None
+                                else None)
+            found = self.lookup(spec, key, stats, parent_map.get(spec))
+            if found is None:
+                misses.append(spec)
+            else:
+                results[spec] = found
 
         if self.pool is not None and misses:
             wave_results, wave = self.pool.run_wave(
-                misses, parents=parent_map, tracer=tracer)
+                misses, parents=parent_map, tracer=self.tracer, keys=keys)
             stats.retried += wave.retried
             for spec in misses:
                 result = results[spec] = wave_results[spec]
@@ -349,43 +331,100 @@ class Runner:
                         f"{result.error['message']}")
         else:
             for spec in misses:
-                span = (tracer.start_span("runner.execute",
-                                          parent=parent_map.get(spec),
-                                          spec=spec.label())
-                        if tracer is not None else None)
-                try:
-                    if span is not None:
-                        from repro.obs.trace import trace_scope
-                        with trace_scope(tracer, span):
-                            results[spec] = execute_spec(spec)
-                    else:
-                        results[spec] = execute_spec(spec)
-                except Exception as exc:
-                    if self.fail_fast:
-                        raise
-                    results[spec] = error_result(spec, type(exc).__name__,
-                                                 str(exc))
-                    if span is not None:
-                        span.event("error", type=type(exc).__name__)
-                finally:
-                    if span is not None:
-                        span.end()
-        stats.executed = len(misses)
-        stats.failed = sum(1 for spec in misses
-                           if results[spec].error is not None)
-
+                results[spec] = self.execute(spec, parent_map.get(spec))
         for spec in misses:
-            if self.cache is not None and results[spec].error is None:
-                self.cache.put(spec.key(), results[spec])
-        if self.memoize:
-            self._memo.update({s: r for s, r in results.items()
-                               if r.error is None})
+            self.record(spec, keys[spec], results[spec], stats)
 
-        stats.serial_seconds = sum(results[s].wall_seconds for s in set(specs))
+        stats.serial_seconds = sum(results[s].wall_seconds for s in unique)
         stats.wall_seconds = time.perf_counter() - started
         self.last_stats = stats
         self.total_stats = self.total_stats.merged_with(stats)
         return [results[spec] for spec in specs]
+
+    # ------------------------------------------------------------------
+    # The steps of one spec, shared by run_batch and the serving layer
+    # ------------------------------------------------------------------
+    def prepare(self, spec: RunSpec) -> RunSpec:
+        """``spec`` with this Runner's run-wide config overrides merged
+        in: the identity the memo, the cache key and execution use."""
+        if self.config_overrides:
+            return spec.with_config_overrides(**self.config_overrides)
+        return spec
+
+    def _tally(self, stats: Optional[BatchStats], **counts: int) -> None:
+        """Add ``counts`` to ``stats``, or with none given to a new
+        :attr:`total_stats`."""
+        if stats is None:
+            self.total_stats = self.total_stats.merged_with(
+                BatchStats(**counts))
+            return
+        for name, count in counts.items():
+            setattr(stats, name, getattr(stats, name) + count)
+
+    def lookup(self, spec: RunSpec, key: Optional[str],
+               stats: Optional[BatchStats] = None,
+               parent: object = None) -> Optional[RunResult]:
+        """Step 1: this Runner's memo, then the disk cache under ``key``
+        (``spec.key()``; unused without a cache).  Returns the stored
+        result, or ``None`` for a miss.  Counts the spec, and a hit, in
+        ``stats`` (default :attr:`total_stats`); a disk hit is memoized.
+        """
+        found = self._memo.get(spec)
+        if found is not None:
+            hits, span_name = {"memo_hits": 1}, "runner.memo_hit"
+        elif self.cache is not None \
+                and (found := self.cache.get(key)) is not None:
+            hits, span_name = {"cache_hits": 1}, "runner.cache_hit"
+            if self.memoize:
+                self._memo[spec] = found
+        else:
+            self._tally(stats, total=1, unique=1)
+            return None
+        self._tally(stats, total=1, unique=1, **hits)
+        if self.tracer is not None:
+            self.tracer.start_span(span_name, parent=parent,
+                                   spec=spec.label()).end()
+        return found
+
+    def execute(self, spec: RunSpec, parent: object = None) -> RunResult:
+        """Step 2, in this process: simulate ``spec``.  A simulation that
+        raises becomes a structured error result (``fail_fast`` raises
+        instead).  Thread-safe, so the serving layer may call it off
+        its event loop."""
+        tracer = self.tracer
+        span = (tracer.start_span("runner.execute", parent=parent,
+                                  spec=spec.label())
+                if tracer is not None else None)
+        try:
+            if span is None:
+                return execute_spec(spec)
+            from repro.obs.trace import trace_scope
+            with trace_scope(tracer, span):
+                return execute_spec(spec)
+        except Exception as exc:
+            if self.fail_fast:
+                raise
+            if span is not None:
+                span.event("error", type=type(exc).__name__)
+            return error_result(spec, type(exc).__name__, str(exc))
+        finally:
+            if span is not None:
+                span.end()
+
+    def record(self, spec: RunSpec, key: Optional[str], result: RunResult,
+               stats: Optional[BatchStats] = None) -> None:
+        """Step 3: count one execution in ``stats`` (default
+        :attr:`total_stats`) and store a successful result in the disk
+        cache under ``key`` and in the memo.  Error results are never
+        stored, so a failed spec is re-attempted next time."""
+        failed = result.error is not None
+        self._tally(stats, executed=1, failed=int(failed))
+        if failed:
+            return
+        if self.cache is not None:
+            self.cache.put(key, result)
+        if self.memoize:
+            self._memo[spec] = result
 
     def close(self) -> None:
         """Reap the pool's idle workers (a no-op without a pool).  The

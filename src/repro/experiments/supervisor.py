@@ -25,10 +25,13 @@ address-space cap.  Around that fleet the pool adds:
   its concurrency and reports itself unhealthy (``/healthz?ready=1`` →
   503); a clean window grows it back one step.
 
-The supervisor loop blocks in :func:`multiprocessing.connection.wait`
-on the job pipes and process sentinels, woken early only by the nearest
-wall deadline or retry time.  :meth:`SupervisedPool.close` reaps the
-idle workers.
+Any thread may :meth:`~SupervisedPool.submit` a spec and get a
+:class:`concurrent.futures.Future` back.  One scheduler thread runs the
+loop: it blocks in :func:`multiprocessing.connection.wait` on the job
+pipes, the process sentinels and a wake pipe that every submit writes
+to, woken early only by the nearest wall deadline or retry time.
+:meth:`SupervisedPool.run_wave` submits a batch and waits for all of
+it.  :meth:`SupervisedPool.close` reaps the idle workers.
 
 Determinism: supervision decides *whether and when* a job runs, never
 how — a completed job's result is bit-identical to the serial path's.
@@ -46,9 +49,11 @@ import multiprocessing.connection
 import os
 import signal
 import stat
+import threading
 import time
 import weakref
 from collections import Counter, deque, namedtuple
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -131,9 +136,10 @@ class CircuitBreaker:
         self.trips = 0
 
     def state(self, key: str) -> str:
-        if key not in self._opened_at:
+        opened_at = self._opened_at.get(key)
+        if opened_at is None:
             return CLOSED
-        if self.clock() - self._opened_at[key] >= self.cooldown_s:
+        if self.clock() - opened_at >= self.cooldown_s:
             return HALF_OPEN
         return OPEN
 
@@ -164,13 +170,14 @@ class CircuitBreaker:
 
     def state_counts(self) -> Dict[str, int]:
         counts = {CLOSED: 0, OPEN: 0, HALF_OPEN: 0}
-        for key in self._opened_at:
+        for key in list(self._opened_at):
             counts[OPEN if self.state(key) == OPEN else HALF_OPEN] += 1
         return counts
 
     @property
     def open_keys(self) -> List[str]:
-        return [key for key in self._opened_at if self.state(key) == OPEN]
+        return [key for key in list(self._opened_at)
+                if self.state(key) == OPEN]
 
 
 def error_result(spec, kind: str, message: str,
@@ -333,7 +340,8 @@ def _retire_all(idle: List[_Worker]) -> None:
 # ----------------------------------------------------------------------
 @dataclass
 class WaveStats:
-    """What one :meth:`SupervisedPool.run_wave` call observed."""
+    """What the jobs of one :meth:`SupervisedPool.run_wave` call (or of
+    any :meth:`SupervisedPool.submit` calls sharing it) observed."""
 
     jobs: int = 0
     completed: int = 0        #: jobs that produced a real result
@@ -345,29 +353,43 @@ class WaveStats:
 
 
 class _JobState:
-    __slots__ = ("spec", "key", "attempt", "ready_at", "worker",
-                 "deadline", "span")
+    __slots__ = ("spec", "key", "future", "stats", "tracer", "span",
+                 "attempt", "ready_at", "worker", "deadline")
 
-    def __init__(self, spec, key: str, span=None):
+    def __init__(self, spec, key: str, future: Future, stats: WaveStats,
+                 tracer=None, span=None):
         self.spec = spec
         self.key = key
+        self.future = future
+        self.stats = stats
+        #: the submitter's tracer, which adopts the worker's spans, and
+        #: the supervisor.job span (both None when tracing is off);
+        #: dispatch/crash/hang/retry/breaker transitions are recorded on
+        #: the span
+        self.tracer = tracer
+        self.span = span
         self.attempt = 0
         self.ready_at = 0.0
         self.worker: Optional[_Worker] = None
         self.deadline: Optional[float] = None
-        #: supervisor.job span (None when tracing is off); dispatch/
-        #: crash/hang/retry/breaker transitions are recorded on it
-        self.span = span
+
+
+def _shut_down(idle: List[_Worker], fds: Tuple[int, int]) -> None:
+    _retire_all(idle)
+    for fd in fds:
+        os.close(fd)
 
 
 class SupervisedPool:
-    """Long-lived supervisor executing waves of unique specs.
+    """Long-lived supervisor executing jobs of unique specs.
 
-    Workers, breaker and health state persist across waves (that is the
-    point: a warm worker serves the next wave, a poison spec stays
+    Workers, breaker and health state persist across jobs (that is the
+    point: a warm worker serves the next job, a poison spec stays
     quarantined for the pool's lifetime, and health reflects recent
-    history, not one batch).  Not thread-safe; callers serialize waves
-    exactly as they serialize ``Runner.run_batch``.
+    history, not one batch).  Thread-safe: any thread may
+    :meth:`submit`.  One scheduler thread owns the workers and every
+    job; the first submit starts it and it ends when no job is left, so
+    a dropped pool is never kept alive by an idle thread.
     """
 
     def __init__(self, config: Optional[SupervisorConfig] = None,
@@ -387,14 +409,23 @@ class SupervisedPool:
         self._recent: deque = deque(maxlen=self.config.degrade_window)
         self.degraded = False
         self._ctx = _mp_context()
-        #: wave-scoped tracer (set by run_wave when tracing is on)
-        self._tracer = None
+        #: guards the fields below, which submitters and close() share
+        #: with the scheduler thread
+        self._lock = threading.Lock()
+        #: submitted jobs the scheduler has not taken yet
+        self._inbox: List[_JobState] = []
+        self._scheduler: Optional[threading.Thread] = None
         #: workers waiting for a job; busy ones belong to their job
         self._idle: List[_Worker] = []
-        #: close() ran since the last wave started (see close)
+        #: close() ran since the last submit (see close)
         self._closed = False
+        #: a byte written here wakes the scheduler out of its wait
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         # A pool dropped without close() still reaps its idle workers.
-        weakref.finalize(self, _retire_all, self._idle)
+        weakref.finalize(self, _shut_down, self._idle,
+                         (self._wake_r, self._wake_w))
 
     # ------------------------------------------------------------------
     # Health gate
@@ -436,78 +467,135 @@ class SupervisedPool:
 
     def _release(self, worker: _Worker) -> None:
         """Return a worker that reported back to the idle set."""
-        self._idle.append(worker)
-        if self._closed:               # closed while this wave ran
-            _retire_all(self._idle)
+        with self._lock:
+            if not self._closed:
+                self._idle.append(worker)
+                return
+        _retire(worker)                # closed while its job ran
 
     def close(self) -> None:
         """End and join every idle worker.  The pool stays usable (the
-        next wave forks afresh); a wave still running on another thread
-        (one the serve watchdog abandoned) retires its workers as they
-        report back."""
-        self._closed = True
-        _retire_all(self._idle)
+        next submit forks afresh); a job still running (one the serve
+        watchdog abandoned) retires its worker when it reports back."""
+        with self._lock:
+            self._closed = True
+            idle = self._idle[:]
+            self._idle.clear()
+        _retire_all(idle)
 
     # ------------------------------------------------------------------
-    # Wave execution
+    # Job submission
     # ------------------------------------------------------------------
-    def run_wave(self, specs, parents=None,
-                 tracer=None) -> Tuple[Dict[object, RunResult], WaveStats]:
-        """Execute unique ``specs``; returns ``(results_by_spec, stats)``.
+    def submit(self, spec, parent=None, *, key: Optional[str] = None,
+               tracer=None, stats: Optional[WaveStats] = None) -> Future:
+        """Queue ``spec`` for the next free worker; returns a
+        :class:`concurrent.futures.Future` of its :class:`RunResult`.
 
-        Every spec gets a result: real, or a structured error
+        The future always gets a result: real, or a structured error
         (``WorkerCrash`` / ``Timeout`` / ``CircuitOpen`` / the child's
-        own exception type).
+        own exception type).  Cancelling it before a worker takes the
+        job drops the job.  ``key`` is ``spec.key()`` when the caller
+        already has it; ``stats`` accumulates what happened to the job.
 
-        ``parents`` (spec -> :class:`~repro.obs.trace.SpanContext`) and
-        ``tracer`` arm tracing: each spec gets a ``supervisor.job`` span
-        nested under its request, the span's context is serialized into
+        ``parent`` (a :class:`~repro.obs.trace.SpanContext`) and
+        ``tracer`` arm tracing: the job gets a ``supervisor.job`` span
+        nested under ``parent``, the span's context is serialized into
         the worker process, and spans finished worker-side are adopted
         back onto ``tracer`` when the result arrives.
         """
-        stats = WaveStats(jobs=len(specs))
-        results: Dict[object, RunResult] = {}
-        pending: List[_JobState] = []
-        self._tracer = tracer
-        self._closed = False
-        parents = parents or {}
-        for spec in specs:
-            span = None
-            if tracer is not None:
-                span = tracer.start_span("supervisor.job",
-                                         parent=parents.get(spec),
-                                         spec=spec.label())
-            job = _JobState(spec, spec.key(), span=span)
-            if not self.breaker.allow(job.key):
-                stats.breaker_short_circuits += 1
-                self.counts["breaker_short_circuits"] += 1
-                if job.span is not None:
-                    job.span.event("breaker_short_circuit", key=job.key)
-                    job.span.set(outcome="CircuitOpen").end()
-                results[spec] = error_result(
-                    spec, "CircuitOpen",
-                    f"circuit breaker open for {spec.label()} after "
-                    f"{self.config.breaker_threshold} consecutive worker "
-                    f"deaths; job quarantined", job.attempt + 1)
-                stats.failed += 1
-                continue
-            pending.append(job)
-
-        running: List[_JobState] = []
+        span = None
+        if tracer is not None:
+            span = tracer.start_span("supervisor.job", parent=parent,
+                                     spec=spec.label())
+        job = _JobState(spec, key if key is not None else spec.key(),
+                        Future(), stats if stats is not None else WaveStats(),
+                        tracer, span)
+        with self._lock:
+            self._closed = False
+            self._inbox.append(job)
+            if self._scheduler is None:
+                self._scheduler = threading.Thread(
+                    target=self._schedule, name="repro-supervisor",
+                    daemon=True)
+                self._scheduler.start()
         try:
-            while pending or running:
-                self._dispatch_ready(pending, running)
-                self._wait(pending, running)
-                self._poll_running(running, pending, results, stats)
-        finally:
-            for job in running:           # only on an unexpected raise
-                _kill(job.worker)
-        stats.completed = sum(1 for r in results.values() if r.error is None)
-        self.counts["completed"] += stats.completed
-        self.counts["failed"] += stats.failed
-        return results, stats
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:        # the pipe is full: already awake
+            pass
+        return job.future
+
+    def run_wave(self, specs, parents=None, tracer=None, keys=None
+                 ) -> Tuple[Dict[object, RunResult], WaveStats]:
+        """Submit every one of the unique ``specs`` and wait for all;
+        returns ``(results_by_spec, stats)``.  ``parents`` and ``keys``
+        map a spec to its :meth:`submit` ``parent`` and ``key``."""
+        stats = WaveStats(jobs=len(specs))
+        parents = parents or {}
+        keys = keys or {}
+        futures = {spec: self.submit(spec, parents.get(spec),
+                                     key=keys.get(spec), tracer=tracer,
+                                     stats=stats)
+                   for spec in specs}
+        return ({spec: future.result() for spec, future in futures.items()},
+                stats)
 
     # ------------------------------------------------------------------
+    # The scheduler thread
+    # ------------------------------------------------------------------
+    def _schedule(self) -> None:
+        inbox: List[_JobState] = []
+        pending: List[_JobState] = []
+        running: List[_JobState] = []
+        try:
+            while True:
+                with self._lock:
+                    inbox, self._inbox = self._inbox, []
+                    if not (inbox or pending or running):
+                        self._scheduler = None
+                        return
+                for job in inbox:
+                    self._accept(job, pending)
+                self._dispatch_ready(pending, running)
+                self._wait(pending, running)
+                self._poll_running(running, pending)
+        except BaseException as exc:   # a bug: fail every job, not hang it
+            for job in running:
+                _kill(job.worker)
+            with self._lock:
+                orphans = inbox + pending + running + self._inbox
+                self._inbox = []
+                self._scheduler = None
+            for job in orphans:
+                if not job.future.done():
+                    job.future.set_exception(exc)
+            raise
+
+    def _accept(self, job: _JobState, pending: List[_JobState]) -> None:
+        """Queue a submitted job, unless its spec's breaker is open."""
+        if self.breaker.allow(job.key):
+            pending.append(job)
+            return
+        job.stats.breaker_short_circuits += 1
+        self.counts["breaker_short_circuits"] += 1
+        if job.span is not None:
+            job.span.event("breaker_short_circuit", key=job.key)
+            job.span.set(outcome="CircuitOpen").end()
+        if job.future.set_running_or_notify_cancel():
+            self._finish(job, error_result(
+                job.spec, "CircuitOpen",
+                f"circuit breaker open for {job.spec.label()} after "
+                f"{self.config.breaker_threshold} consecutive worker "
+                f"deaths; job quarantined", job.attempt + 1))
+
+    def _finish(self, job: _JobState, result: RunResult) -> None:
+        if result.error is None:
+            job.stats.completed += 1
+            self.counts["completed"] += 1
+        else:
+            job.stats.failed += 1
+            self.counts["failed"] += 1
+        job.future.set_result(result)
+
     def _dispatch_ready(self, pending: List[_JobState],
                         running: List[_JobState]) -> None:
         now = self.clock()
@@ -518,10 +606,18 @@ class SupervisedPool:
             if job.ready_at > now:
                 continue
             pending.remove(job)
+            if job.attempt == 0 \
+                    and not job.future.set_running_or_notify_cancel():
+                if job.span is not None:       # cancelled while queued
+                    job.span.set(outcome="cancelled").end()
+                continue
             span_ctx = (job.span.context.to_dict()
                         if job.span is not None else None)
             message = (job.spec, job.key, job.attempt, chaos_args, span_ctx)
-            worker = self._idle.pop() if self._idle else self._fork()
+            with self._lock:
+                worker = self._idle.pop() if self._idle else None
+            if worker is None:
+                worker = self._fork()
             try:
                 worker.conn.send(message)
             except OSError:            # the idle worker died since its last job
@@ -538,22 +634,26 @@ class SupervisedPool:
 
     def _wait(self, pending: List[_JobState],
               running: List[_JobState]) -> None:
-        """Block until a running job's worker reports or dies, or until
-        the nearest wall deadline or retry ``ready_at`` comes due."""
+        """Block until a running job's worker reports or dies, a job is
+        submitted, or the nearest wall deadline or retry ``ready_at``
+        comes due."""
         wake_at = [job.deadline for job in running
                    if job.deadline is not None]
         if len(running) < self.workers:
             wake_at += [job.ready_at for job in pending]
         timeout = (max(0.0, min(wake_at) - self.clock()) if wake_at
                    else None)
-        handles = [job.worker.conn for job in running]
+        handles = [self._wake_r]
+        handles += [job.worker.conn for job in running]
         handles += [job.worker.process.sentinel for job in running]
         multiprocessing.connection.wait(handles, timeout)
+        try:
+            os.read(self._wake_r, 4096)
+        except BlockingIOError:
+            pass
 
     def _poll_running(self, running: List[_JobState],
-                      pending: List[_JobState],
-                      results: Dict[object, RunResult],
-                      stats: WaveStats) -> None:
+                      pending: List[_JobState]) -> None:
         for job in list(running):
             outcome = self._check_job(job)
             if outcome is None:
@@ -564,9 +664,9 @@ class SupervisedPool:
                 self.breaker.record_success(job.key)
                 self._note_outcome(False)
                 payload = self._unwrap_traced(job, payload)
-                results[job.spec] = RunResult.from_dict(payload)
                 if job.span is not None:
                     job.span.set(outcome="ok").end()
+                self._finish(job, RunResult.from_dict(payload))
             elif kind == "error":
                 # Deterministic child exception: no retry, and not a
                 # worker death — the worker itself behaved, so the
@@ -574,21 +674,20 @@ class SupervisedPool:
                 # clean outcome.
                 self._note_outcome(False)
                 payload = self._unwrap_traced(job, payload, key="type")
-                results[job.spec] = error_result(
-                    job.spec, payload.get("type", "Error"),
-                    payload.get("message", ""), job.attempt + 1)
-                stats.failed += 1
                 if job.span is not None:
                     job.span.event("worker_error",
                                    type=payload.get("type", "Error"))
                     job.span.set(outcome="error").end()
+                self._finish(job, error_result(
+                    job.spec, payload.get("type", "Error"),
+                    payload.get("message", ""), job.attempt + 1))
             else:                         # "crash" | "hang"
                 died_hanging = kind == "hang"
                 if died_hanging:
-                    stats.hangs += 1
+                    job.stats.hangs += 1
                     self.counts["worker_hangs"] += 1
                 else:
-                    stats.crashes += 1
+                    job.stats.crashes += 1
                     self.counts["worker_crashes"] += 1
                 tripped = self.breaker.record_failure(job.key)
                 if tripped:
@@ -602,19 +701,18 @@ class SupervisedPool:
                 if died_hanging:
                     # A hang consumed its full wall budget; retrying
                     # risks consuming another — report and move on.
-                    results[job.spec] = error_result(
+                    if job.span is not None:
+                        job.span.set(outcome="Timeout").end()
+                    self._finish(job, error_result(
                         job.spec, "Timeout",
                         f"worker exceeded the {self.config.wall_limit_s}s "
                         f"wall-clock limit and was killed",
-                        job.attempt + 1)
-                    stats.failed += 1
-                    if job.span is not None:
-                        job.span.set(outcome="Timeout").end()
+                        job.attempt + 1))
                 else:
                     allowed = self.breaker.allow(job.key)
                     if job.attempt < self.config.retries and allowed:
                         job.attempt += 1
-                        stats.retried += 1
+                        job.stats.retried += 1
                         self.counts["retries"] += 1
                         backoff_s = (self.config.retry_backoff_s
                                      * 2 ** (job.attempt - 1))
@@ -627,25 +725,24 @@ class SupervisedPool:
                     else:
                         reason = ("circuit breaker opened" if not allowed
                                   else "retry budget exhausted")
-                        results[job.spec] = error_result(
-                            job.spec, "WorkerCrash",
-                            f"worker died {job.attempt + 1} time(s) running "
-                            f"{job.spec.label()} ({reason})",
-                            job.attempt + 1)
-                        stats.failed += 1
                         if job.span is not None:
                             job.span.set(outcome="WorkerCrash",
                                          reason=reason).end()
+                        self._finish(job, error_result(
+                            job.spec, "WorkerCrash",
+                            f"worker died {job.attempt + 1} time(s) running "
+                            f"{job.spec.label()} ({reason})",
+                            job.attempt + 1))
 
     def _unwrap_traced(self, job: _JobState, payload, key: str = "result"):
         """Undo the traced pipe-payload wrapping: adopt the worker's
-        shipped spans onto the wave tracer and return the inner payload.
+        shipped spans onto the job's tracer and return the inner payload.
         Untraced jobs pass through untouched (old wire shape)."""
         if job.span is None or not isinstance(payload, dict):
             return payload
         spans = payload.pop("spans", None)
-        if spans and self._tracer is not None:
-            self._tracer.adopt(spans)
+        if spans and job.tracer is not None:
+            job.tracer.adopt(spans)
         if key == "result" and "result" in payload:
             return payload["result"]
         return payload

@@ -34,8 +34,9 @@ driver, deep inside a worker) reads the ambient scope instead:
 
 Thread-safety: ``start_span``/``end`` only ever *append* to the
 tracer's finished-list (atomic under the GIL), so the serving layer may
-finish spans from its event loop while the wave thread finishes runner
-spans on the same tracer.
+finish spans from its event loop while the pool's scheduler thread or
+the in-process execution thread finishes runner spans on the same
+tracer.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ seeded request traces against a running service.
 
 Durability (docs/architecture.md §13): :mod:`repro.serve.journal` is a
 write-ahead job journal — with ``--journal-dir`` set, a ``kill -9``
-mid-wave loses no accepted work; the next start replays unresolved jobs
+mid-run loses no accepted work; the next start replays unresolved jobs
 (bit-identical results, the simulator being deterministic) before the
 readiness probe (``/healthz?ready=1``) goes green.
 """

@@ -14,13 +14,15 @@ Then::
     curl -s localhost:8642/metrics
 
 ``--verbose`` subscribes a line printer to the service's ``serve.*``
-bus categories, streaming admission/batch/completion events to stderr.
+bus categories, streaming admission/dispatch/completion events to
+stderr.
 
 Durability & supervision: ``--journal-dir DIR`` arms the write-ahead
-job journal — a ``kill -9`` mid-wave loses no accepted work; the next
+job journal — a ``kill -9`` mid-run loses no accepted work; the next
 start replays unresolved jobs before reporting ready.  ``--jobs N``
-(N > 1) runs waves on a supervised pool of N long-lived worker
-processes; ``--supervised`` does the same with one worker.  The pool
+(N > 1) runs each miss on the first free worker of a supervised pool of
+N long-lived worker processes; ``--supervised`` does the same with one
+worker.  Without either, misses run in-process one at a time.  The pool
 watches every job (``--wall-limit`` / ``--rss-limit`` / ``--retries``,
 circuit breaker for poison specs), and ``--chaos PROFILE`` arms
 deterministic harness faults for drills.
@@ -59,21 +61,16 @@ def build_parser() -> argparse.ArgumentParser:
                         default=defaults.per_client_inflight,
                         help="per-client in-flight cap "
                              f"(default {defaults.per_client_inflight})")
-    parser.add_argument("--batch-window", type=float,
-                        default=defaults.batch_window_s, metavar="SEC",
-                        help="how long the batcher waits to fill a wave "
-                             f"(default {defaults.batch_window_s})")
-    parser.add_argument("--max-batch", type=int, default=defaults.max_batch,
-                        help="max specs per Runner.run_batch wave "
-                             f"(default {defaults.max_batch})")
     parser.add_argument("--timeout", type=float,
                         default=defaults.job_timeout_s, metavar="SEC",
-                        help="per-wave wall-clock watchdog; stuck jobs "
+                        help="per-job wall-clock watchdog; stuck jobs "
                              "resolve as structured Timeout errors "
                              f"(default {defaults.job_timeout_s})")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="supervised worker processes per wave "
-                             "(default 1: in-process unless --supervised)")
+                        help="supervised worker processes; each miss runs "
+                             "on the first free one (default 1: misses "
+                             "run in-process, one at a time, unless "
+                             "--supervised)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -100,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="SIGTERM graceful-drain budget "
                                  f"(default {defaults.drain_timeout_s})")
     durability.add_argument("--supervised", action="store_true",
-                            help="run waves through the supervised worker "
+                            help="run misses on the supervised worker "
                                  "pool (per-job isolation, crash/hang "
                                  "detection, retries, circuit breaker) "
                                  "even with --jobs 1; implied by --jobs > 1")
@@ -128,10 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 def make_server(args) -> ServiceServer:
     config = ServiceConfig(
         host=args.host, port=args.port, max_queue=args.max_queue,
-        per_client_inflight=args.per_client,
-        batch_window_s=args.batch_window, max_batch=args.max_batch,
-        job_timeout_s=args.timeout, journal_dir=args.journal_dir,
-        journal_fsync=not args.no_journal_fsync,
+        per_client_inflight=args.per_client, job_timeout_s=args.timeout,
+        journal_dir=args.journal_dir, journal_fsync=not args.no_journal_fsync,
         drain_timeout_s=args.drain_timeout,
         trace=args.trace_out is not None)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
@@ -156,7 +151,7 @@ async def _amain(args) -> int:
     await server.start()
     print(f"[serve] listening on http://{server.host}:{server.port} "
           f"(max_queue={server.config.max_queue}, "
-          f"batch_window={server.config.batch_window_s}s, "
+          f"timeout={server.config.job_timeout_s}s, "
           f"jobs={server.service.runner.jobs_effective}, "
           f"journal={args.journal_dir or 'off'}, "
           f"supervised={server.service.runner.pool is not None})",

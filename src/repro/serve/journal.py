@@ -11,9 +11,9 @@ three record types, keyed by the spec's content-addressed cache key
   the write-ahead rule.  Carries the full JSON spec and the submitting
   client, so a restarted service can rebuild the job from the record
   alone;
-* ``started`` — the job entered an execution wave (diagnostic: a
-  recovered job with ``started`` died mid-simulation, one without died
-  queued);
+* ``started`` — the job was handed to the execution backend
+  (diagnostic: a recovered job without ``started`` died before its
+  dispatch);
 * ``resolved`` — the job finished (``done``/``failed``/``timeout``).
   Written after the Runner's result cache was updated, so ``resolved``
   implies a successful job's result is durable in the cache.

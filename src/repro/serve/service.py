@@ -1,4 +1,4 @@
-"""The simulation service core: admission → dedup → batch → execute → observe.
+"""The simulation service core: admission → dedup → dispatch → observe.
 
 :class:`SimulationService` is the long-lived front-end the one-shot CLI
 never had.  It accepts :class:`~repro.experiments.runner.RunSpec`
@@ -12,36 +12,42 @@ it:
    being buffered without bound;
 2. **single-flight dedup** — identical in-flight specs coalesce onto one
    job, keyed by the spec's content-addressed result-cache key
-   (:meth:`RunSpec.key`), so a thundering herd of the same parameter
-   point costs one simulation;
-3. **batching** — admitted jobs are gathered for ``batch_window_s`` (or
-   until ``max_batch``) and executed as one
-   :meth:`~repro.experiments.runner.Runner.run_batch` wave, inheriting
-   the runner's in-batch dedup, memo, disk cache and, when pooled, the
-   supervised worker pool's isolation, limits, crash retry and breaker;
+   (:meth:`RunSpec.key`, computed once per request), so a thundering
+   herd of the same parameter point costs one simulation;
+3. **dispatch at admission** — a spec the Runner's memo or disk cache
+   already holds is answered inside :meth:`~SimulationService.
+   submit_nowait` (:meth:`~repro.experiments.runner.Runner.lookup`):
+   it gets a job id and a ``/runs/{id}`` record but never enters the
+   queue or the journal.  Every other spec goes straight to the
+   execution backend: a free worker of the supervised pool
+   (:meth:`~repro.experiments.supervisor.SupervisedPool.submit`, with
+   its isolation, limits, crash retry and breaker), or, without a pool,
+   the one thread that runs misses in-process one at a time.  Its
+   result is stored by :meth:`~repro.experiments.runner.Runner.record`;
 4. **observation** — every stage feeds the ``repro.obs`` spine: probes on
    a wall-clock bus (``serve.request`` / ``serve.shed`` / ``serve.batch``
    / ``serve.done`` / ``serve.timeout``) and a
    :class:`~repro.obs.registry.MetricsRegistry` (queue depth, batch
-   occupancy, shed/coalesced/executed counters, a request-latency
-   histogram that ``/metrics`` turns into p50/p95 gauges).
+   occupancy — every dispatched job is a batch of one —, shed/coalesced/
+   executed counters, a request-latency histogram that ``/metrics``
+   turns into p50/p95 gauges).
 
-A wall-clock watchdog guards each wave: jobs unresolved after
-``job_timeout_s`` resolve to a structured ``error.type == "Timeout"``
-record, the shape the pool's per-job wall limit also produces.  The
-wave's thread itself cannot be killed (an in-process run cannot be
-interrupted), so a deliberately-stalled run — e.g. the fault layer's
-``blackhole`` profile, where every coherence request is dropped and only
-``max_cycles`` terminates the run — unblocks its *clients* immediately
-while the thread drains in the background; its late result is
-discarded.  :meth:`SimulationService.stop` reaps the pool's idle
-workers, so no worker outlives its service.
+A wall-clock watchdog guards each job: a job unresolved ``job_timeout_s``
+after its dispatch resolves to a structured ``error.type == "Timeout"``
+record, the shape the pool's per-job wall limit also produces.  A job
+still waiting for a worker is dropped; a running one cannot be killed
+(an in-process run cannot be interrupted), so a deliberately-stalled
+run — e.g. the fault layer's ``blackhole`` profile, where every
+coherence request is dropped and only ``max_cycles`` terminates the run
+— unblocks its *clients* immediately while it drains in the background;
+its late result is discarded.  :meth:`SimulationService.stop` reaps the
+pool's idle workers, so no worker outlives its service.
 
 Bit-identity contract: the service never touches how a spec executes —
-it only decides *when* and *batched with what*.  A served result is
-therefore bit-identical (minus ``wall_seconds``) to a direct
-``Runner``/``execute_spec`` run of the same spec, which the conformance
-suite and the load generator's ``--verify`` both assert.
+it only decides *when*.  A served result is therefore bit-identical
+(minus ``wall_seconds``) to a direct ``Runner``/``execute_spec`` run of
+the same spec, which the conformance suite and the load generator's
+``--verify`` both assert.
 """
 
 from __future__ import annotations
@@ -51,10 +57,10 @@ import dataclasses
 import itertools
 import random
 import sys
-import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import ServiceConfig
 from repro.experiments.driver import RunResult
@@ -68,7 +74,8 @@ from repro.serve.journal import JobJournal
 #: "budget" edge — a p95 beyond it reads as inf and fails budget checks)
 LATENCY_BUCKETS_MS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
                       5000, 10_000, 30_000, 60_000, 120_000)
-#: batch-occupancy histogram buckets (specs per wave)
+#: batch-occupancy histogram buckets (specs per dispatch: every job is
+#: dispatched alone, so each observation is 1)
 OCCUPANCY_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
 #: deterministic RunResult fields — everything except the wall-clock
@@ -140,7 +147,8 @@ class Job:
         self.coalesced = 0          #: duplicate submissions attached
         #: tracing state (all None/empty when the service is untraced):
         #: the request root span, the open queue-wait child, the open
-        #: wave-execute child, and the coalesced followers' spans (each
+        #: execute child (``serve.wave_execute``: one job is the wave),
+        #: and the coalesced followers' spans (each
         #: follower gets its own root, linked to this job's trace, plus
         #: a coalesce-wait child — all closed at resolution)
         self.span = None
@@ -164,14 +172,16 @@ class Job:
 
 
 class SimulationService:
-    """Admission-controlled, coalescing, batching front-end to a
+    """Admission-controlled, coalescing front-end to a
     :class:`~repro.experiments.runner.Runner`.
 
-    All state is owned by the event loop the service runs on; the only
-    off-loop work is ``Runner.run_batch`` inside ``asyncio.to_thread``,
-    serialized by a lock so the (not thread-safe) runner never sees two
-    waves at once — an abandoned (timed-out) wave holds the lock until
-    its thread drains, so a stall degrades capacity, never correctness.
+    All state is owned by the event loop the service runs on, including
+    the Runner's memo, cache and stats (only the loop calls its
+    ``lookup``/``record`` steps).  Simulations run off the loop: on the
+    pool's workers, each miss as soon as a worker is free, or without a
+    pool on one thread of this service, one miss at a time.  An
+    abandoned (timed-out) in-process run keeps that thread until it
+    drains, so a stall degrades capacity, never correctness.
     """
 
     def __init__(self, runner: Optional[Runner] = None,
@@ -237,35 +247,33 @@ class SimulationService:
         self._h_replay = reg.histogram("serve.replay_ms",
                                        buckets=LATENCY_BUCKETS_MS)
 
-        self._queue: "asyncio.Queue[Job]" = asyncio.Queue()
         self._inflight: Dict[str, Job] = {}       # cache key -> live job
         self._history: "OrderedDict[str, Job]" = OrderedDict()
         self._client_inflight: Dict[str, int] = {}
         self._ids = itertools.count(1)
-        self._runner_lock = None                  # created lazily (thread)
-        self._batcher: Optional[asyncio.Task] = None
+        #: one watcher task per dispatched job (awaits its result)
+        self._watchers: Set[asyncio.Task] = set()
+        #: the in-process execution thread (runners without a pool)
+        self._local: Optional[ThreadPoolExecutor] = None
         self.depth = 0                            #: unresolved unique jobs
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        if self._runner_lock is None:
-            self._runner_lock = threading.Lock()
         if self._journal is not None and not self.ready:
             self._replay_journal()
         self.ready = True
-        if self._batcher is None:
-            self._batcher = asyncio.create_task(self._batch_loop())
 
     def _replay_journal(self) -> None:
         """Recover the journal and re-admit every unresolved job.
 
         Runs before the service reports ready.  Re-admitted jobs skip
         the admission bounds (accepted work is never shed) and skip the
-        write-ahead append (they are already journaled); already-
-        resolved jobs need nothing — their results live in the result
-        cache and any re-request is a cache hit.
+        write-ahead append (they are already journaled).  One whose
+        result reached the cache before the crash is answered from it
+        and journaled as resolved; already-resolved jobs need nothing —
+        any re-request is a cache hit.
         """
         started = time.monotonic()
         replay = self._journal.recover()
@@ -278,12 +286,16 @@ class SimulationService:
                 print(f"[serve] journal replay: dropping unreadable spec "
                       f"for key {entry.key[:12]}...: {exc}", file=sys.stderr)
                 continue
-            job = self._admit(spec, entry.client, journal=False,
-                              trace_id=entry.trace_id)
-            job.status = "recovered"
+            spec = self.runner.prepare(spec)
+            job = self._new_job(spec, spec.key(), entry.client,
+                                trace_id=entry.trace_id)
             if job.span is not None:
                 job.span.event("recovered", key=entry.key[:12],
                                journal_status=entry.status)
+            if self._answer_stored(job):
+                self._journal_note("resolved", job.key)
+            else:
+                self._admit(job, journal=False)
             recovered += 1
         elapsed_ms = (time.monotonic() - started) * 1000.0
         self.recovered = recovered
@@ -303,13 +315,9 @@ class SimulationService:
 
     async def stop(self) -> None:
         self.ready = False
-        if self._batcher is not None:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
-            self._batcher = None
+        for watcher in list(self._watchers):
+            watcher.cancel()
+        await asyncio.gather(*self._watchers, return_exceptions=True)
         for job in list(self._inflight.values()):
             if not job.future.done():
                 # Deliberately NOT journaled as resolved: a stop with
@@ -320,6 +328,9 @@ class SimulationService:
                     "service shut down before the job ran",
                     trace_id=self._trace_id(job)), "failed",
                     journal=False)
+        if self._local is not None:
+            self._local.shutdown(wait=False, cancel_futures=True)
+            self._local = None
         if self._journal is not None:
             self._journal.close()
         self.runner.close()
@@ -343,10 +354,16 @@ class SimulationService:
         """Admit ``spec`` (or coalesce onto an identical in-flight job).
 
         Returns ``(job, coalesced)``; raises :class:`Shed` when either
-        admission bound rejects the request.  Coalesced duplicates add no
-        simulation work, so they bypass the queue bound — but they do
-        count against their client's in-flight cap.
+        admission bound rejects the request.  A spec the Runner already
+        holds comes back resolved.  Coalesced duplicates and stored
+        results add no simulation work, so they bypass the queue bound —
+        but every request counts against its client's in-flight cap.
         """
+        spec = self.runner.prepare(spec)
+        return self._submit(spec, spec.key(), client)
+
+    def _submit(self, spec: RunSpec, key: str,
+                client: str) -> Tuple[Job, bool]:
         self._m_requests.inc()
         if not self.is_ready():
             self._m_unavailable.inc()
@@ -357,7 +374,6 @@ class SimulationService:
             self._shed(spec, client,
                        f"client {client!r} already has {held} in flight "
                        f"(cap {cap})")
-        key = spec.key()
         job = self._inflight.get(key)
         if job is not None and not job.future.done():
             job.coalesced += 1
@@ -378,17 +394,62 @@ class SimulationService:
                                               parent=root, leader=job.id)
                 job.followers.extend((wait, root))
             return job, True
+        job = self._new_job(spec, key, client)
+        if self._answer_stored(job):
+            return job, False
         if self.depth >= self.config.max_queue:
             self._shed(spec, client,
                        f"queue full ({self.depth}/{self.config.max_queue} "
                        f"unresolved jobs)")
-        job = self._admit(spec, client, key=key)
+        self._admit(job)
         return job, False
 
-    def _admit(self, spec: RunSpec, client: str, *,
-               key: Optional[str] = None, journal: bool = True,
-               trace_id: Optional[str] = None) -> Job:
-        """Create, journal, and enqueue a new unique job.
+    def _new_job(self, spec: RunSpec, key: str, client: str,
+                 trace_id: Optional[str] = None) -> Job:
+        """A fresh job and, when tracing, its ``serve.request`` root.
+
+        ``trace_id`` forces the root span's trace identity — how a
+        replayed job keeps the trace_id its ``accepted`` record carries.
+        (A root span opened here but orphaned by a shed or a journal-
+        append failure is simply never finished, so it never reaches the
+        trace file.)
+        """
+        job = Job(f"r{next(self._ids):06d}", spec, key, client,
+                  asyncio.get_running_loop().create_future())
+        if self.tracer is not None:
+            job.span = self.tracer.start_span(
+                "serve.request", trace_id=trace_id, client=client,
+                spec=spec.label(), job=job.id)
+        return job
+
+    def _answer_stored(self, job: Job) -> bool:
+        """Resolve ``job`` now if the Runner's memo or disk cache holds
+        its result.  The job never enters the queue or the journal."""
+        runner = self.runner
+        memo_hits = runner.total_stats.memo_hits
+        result = runner.lookup(
+            job.spec, job.key,
+            parent=job.span.context if job.span is not None else None)
+        if result is None:
+            return False
+        if runner.total_stats.memo_hits > memo_hits:
+            source, counter = "memo", self._m_memo_hits
+        else:
+            source, counter = "cache", self._m_cache_hits
+        counter.inc()
+        job.status = "done"
+        job.future.set_result(result)
+        self._remember(job)
+        if job.span is not None:
+            job.span.set(outcome="hit", source=source).end()
+        elapsed_ms = (time.monotonic() - job.submitted) * 1000.0
+        self._h_latency.observe(elapsed_ms)
+        self._p_done(job.id, f"{job.spec.label()} -> {source} hit",
+                     ms=round(elapsed_ms, 3))
+        return True
+
+    def _admit(self, job: Job, *, journal: bool = True) -> None:
+        """Journal a new unique job, count it, and dispatch it.
 
         The ``accepted`` record is written (and fsynced) *before* any
         service state mutates — if the append fails, the request errors
@@ -396,58 +457,46 @@ class SimulationService:
         is recoverable.  Journal replay calls this with ``journal=False``
         (the record already exists) and bypasses the admission bounds:
         accepted work is never shed.
-
-        ``trace_id`` forces the root span's trace identity — how a
-        replayed job keeps the trace_id its ``accepted`` record carries.
-        (A root span opened here but orphaned by a journal-append
-        failure is simply never finished, so it never reaches the
-        trace file.)
         """
-        if key is None:
-            key = spec.key()
-        span = admission = None
-        if self.tracer is not None:
-            span = self.tracer.start_span("serve.request", trace_id=trace_id,
-                                          client=client, spec=spec.label())
-            admission = self.tracer.start_span("serve.admission", parent=span,
+        admission = None
+        if job.span is not None:
+            admission = self.tracer.start_span("serve.admission",
+                                               parent=job.span,
                                                journaled=journal)
+        client = job.clients[0]
         if journal and self._journal is not None:
             # Write-ahead: raises on failure (including an injected
             # journal-crash fault) before the job exists anywhere.
-            self._journal.accepted(
-                key, spec.as_dict(), client,
-                trace_id=span.context.trace_id if span is not None else None)
-        job = Job(f"r{next(self._ids):06d}", spec, key, client,
-                  asyncio.get_running_loop().create_future())
-        self._inflight[key] = job
+            self._journal.accepted(job.key, job.spec.as_dict(), client,
+                                   trace_id=self._trace_id(job))
+        self._inflight[job.key] = job
         self._remember(job)
         self._client_inflight[client] = (
             self._client_inflight.get(client, 0) + 1)
         self.depth += 1
         self._g_depth.set(self.depth)
-        self._queue.put_nowait(job)
-        if span is not None:
-            span.set(job=job.id)
+        if admission is not None:
             admission.end()
-            job.span = span
             job.wait_span = self.tracer.start_span("serve.queue_wait",
-                                                   parent=span)
-        self._p_request(job.id, spec.label(), client=client)
-        return job
+                                                   parent=job.span)
+        self._p_request(job.id, job.spec.label(), client=client)
+        self._dispatch(job)
 
     def admit_batch(self, specs: List[RunSpec],
                     client: str = "anon") -> List[Tuple[Job, bool]]:
         """Admit a whole batch atomically: if the *new* unique work it
         introduces does not fit the queue bound, nothing is admitted."""
-        new_keys = {spec.key() for spec in specs}
-        new_keys -= {key for key, job in self._inflight.items()
-                     if not job.future.done()}
+        specs = [self.runner.prepare(spec) for spec in specs]
+        keys = [spec.key() for spec in specs]
+        new_keys = set(keys) - {key for key, job in self._inflight.items()
+                                if not job.future.done()}
         if self.depth + len(new_keys) > self.config.max_queue:
             self._shed(specs[0] if specs else None, client,
                        f"batch of {len(new_keys)} new job(s) does not fit "
                        f"the queue bound ({self.depth}/"
                        f"{self.config.max_queue} in use)")
-        return [self.submit_nowait(spec, client) for spec in specs]
+        return [self._submit(spec, key, client)
+                for spec, key in zip(specs, keys)]
 
     def _shed(self, spec: Optional[RunSpec], client: str, reason: str,
               status: int = 429):
@@ -495,76 +544,65 @@ class SimulationService:
         return "worker pool unhealthy (degraded or breaker open)"
 
     # ------------------------------------------------------------------
-    # Stage 3: batching and execution
+    # Stage 3: dispatch and execution
     # ------------------------------------------------------------------
-    async def _batch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            wave = [await self._queue.get()]
-            deadline = loop.time() + self.config.batch_window_s
-            while len(wave) < self.config.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    wave.append(await asyncio.wait_for(self._queue.get(),
-                                                       remaining))
-                except asyncio.TimeoutError:
-                    break
-            await self._execute_wave(wave)
-
-    def _locked_run_batch(self, specs, parents=None):
-        with self._runner_lock:
-            results = self.runner.run_batch(specs, parents=parents)
-            return results, self.runner.last_stats
-
-    async def _execute_wave(self, wave: List[Job]) -> None:
-        wave = [job for job in wave if not job.future.done()]
-        if not wave:
-            return
-        for job in wave:
-            job.status = "running"
-            self._journal_note("started", job.key)
-            if job.wait_span is not None:
-                job.wait_span.end()
-                job.wait_span = None
-            if job.span is not None:
-                job.exec_span = self.tracer.start_span(
-                    "serve.wave_execute", parent=job.span,
-                    wave_size=len(wave))
+    def _dispatch(self, job: Job) -> None:
+        """Hand an admitted job to the execution backend right away and
+        watch for its result."""
+        job.status = "running"
+        self._journal_note("started", job.key)
+        parent = None
+        if job.span is not None:
+            job.wait_span.end()
+            job.wait_span = None
+            job.exec_span = self.tracer.start_span("serve.wave_execute",
+                                                   parent=job.span)
+            parent = job.exec_span.context
         self._m_batches.inc()
-        self._h_occupancy.observe(len(wave))
-        self._p_batch("wave", f"{len(wave)} spec(s)",
-                      jobs=[job.id for job in wave])
-        specs = [job.spec for job in wave]
-        parents = None
-        if self.tracer is not None:
-            parents = [job.exec_span.context if job.exec_span is not None
-                       else None for job in wave]
+        self._h_occupancy.observe(1)
+        self._p_batch(job.id, job.spec.label())
+        pool = self.runner.pool
+        if pool is not None:
+            future = pool.submit(job.spec, parent, key=job.key,
+                                 tracer=self.tracer)
+        else:
+            if self._local is None:
+                self._local = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="repro-serve-run")
+            future = self._local.submit(self.runner.execute, job.spec,
+                                        parent)
+        watcher = asyncio.ensure_future(self._watch(job, future))
+        self._watchers.add(watcher)
+        watcher.add_done_callback(self._watchers.discard)
+
+    async def _watch(self, job: Job, future: Future) -> None:
+        """Resolve ``job`` with its result, or as a ``Timeout`` when none
+        arrives within ``job_timeout_s`` (which also drops a job still
+        waiting for a worker)."""
         try:
-            results, stats = await asyncio.wait_for(
-                asyncio.to_thread(self._locked_run_batch, specs, parents),
-                self.config.job_timeout_s)
+            result = await asyncio.wait_for(asyncio.wrap_future(future),
+                                            self.config.job_timeout_s)
         except asyncio.TimeoutError:
-            for job in wave:
-                self._m_timeouts.inc()
-                self._p_timeout(job.id, job.spec.label())
-                if job.exec_span is not None:
-                    job.exec_span.event("watchdog_timeout",
-                                        budget_s=self.config.job_timeout_s)
-                self._resolve(job, self._error_result(
-                    job.spec, "Timeout",
-                    f"no result within {self.config.job_timeout_s}s "
-                    f"(serve watchdog)", trace_id=self._trace_id(job)),
-                    "timeout")
+            self._m_timeouts.inc()
+            self._p_timeout(job.id, job.spec.label())
+            if job.exec_span is not None:
+                job.exec_span.event("watchdog_timeout",
+                                    budget_s=self.config.job_timeout_s)
+            self._resolve(job, self._error_result(
+                job.spec, "Timeout",
+                f"no result within {self.config.job_timeout_s}s "
+                f"(serve watchdog)", trace_id=self._trace_id(job)),
+                "timeout")
             return
-        self._m_executed.inc(stats.executed)
-        self._m_cache_hits.inc(stats.cache_hits)
-        self._m_memo_hits.inc(stats.memo_hits)
-        self._m_failed.inc(stats.failed)
-        for job, result in zip(wave, results):
-            self._resolve(job, result,
-                          "failed" if result.error is not None else "done")
+        except Exception as exc:       # the execution backend itself failed
+            result = self._error_result(job.spec, type(exc).__name__,
+                                        str(exc), trace_id=self._trace_id(job))
+        self.runner.record(job.spec, job.key, result)
+        self._m_executed.inc()
+        if result.error is not None:
+            self._m_failed.inc()
+        self._resolve(job, result,
+                      "failed" if result.error is not None else "done")
 
     # ------------------------------------------------------------------
     # Resolution and bookkeeping
@@ -572,7 +610,7 @@ class SimulationService:
     def _resolve(self, job: Job, result: RunResult, status: str,
                  journal: bool = True) -> None:
         if job.future.done():
-            return                       # late result of an abandoned wave
+            return                       # already resolved by stop()
         job.status = status
         job.future.set_result(result)
         if job.span is not None:

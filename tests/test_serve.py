@@ -5,7 +5,9 @@ Covers the four pipeline stages end to end over real HTTP:
 * single-flight dedup returns results bit-identical to direct
   :class:`~repro.experiments.runner.Runner` execution,
 * admission control sheds at the configured bounds (429 + Retry-After),
-* the per-wave watchdog cancels a deliberately-stalled job (stalled via
+* a spec already served is answered at admission, and a short miss
+  overtakes a long one on a two-worker pool,
+* the per-job watchdog cancels a deliberately-stalled job (stalled via
   the fault layer's ``blackhole`` profile),
 * ``/metrics`` series names match the obs registry schema,
 * the metamorphic sweep: a Figure-5 batch served through the API yields
@@ -36,6 +38,9 @@ from repro.serve import protocol
 
 SMALL = dict(workload="sor", mode="single", n_cmps=2)
 OTHER = dict(workload="sor", mode="double", n_cmps=2)
+#: about three times SMALL's simulation (~1 s on a 2-CPU box): real work
+#: that keeps a job unresolved while a test acts on it
+LONG = dict(workload="ocean", mode="single", n_cmps=4)
 
 #: a job that never finishes on its own inside the test budget: every
 #: network request dropped with retry escalation disabled (the fault
@@ -48,7 +53,7 @@ STALLED = dict(workload="sor", mode="single", n_cmps=2,
 
 def serve(**config_kwargs) -> ServerThread:
     """An in-process service on an ephemeral port (context manager)."""
-    defaults = dict(port=0, batch_window_s=0.05)
+    defaults = dict(port=0)
     defaults.update(config_kwargs)
     runner = defaults.pop("runner", None)
     return ServerThread(runner=runner or Runner(),
@@ -187,14 +192,14 @@ def test_metrics_csv_format():
 # Single-flight dedup + bit-identity with direct execution
 # ----------------------------------------------------------------------
 def test_coalescing_and_bit_identity_with_direct_runner():
-    # A long batch window holds the first submission open so the
+    # A long simulation holds the first submission open so the
     # duplicates reliably attach to the same in-flight job.
-    with serve(batch_window_s=0.4) as harness:
+    with serve() as harness:
         client = client_for(harness)
         responses = [None] * 3
 
         def post(index):
-            responses[index] = client.submit(SMALL, client=f"c{index}")
+            responses[index] = client.submit(LONG, client=f"c{index}")
 
         threads = [threading.Thread(target=post, args=(i,))
                    for i in range(3)]
@@ -214,25 +219,73 @@ def test_coalescing_and_bit_identity_with_direct_runner():
         assert metrics["serve.executed"] == 1
         assert metrics["serve.coalesced"] == 2
 
-    direct = deterministic_dict(execute_spec(spec_from_dict(SMALL)))
+    direct = deterministic_dict(execute_spec(spec_from_dict(LONG)))
     served_det = dict(served[0])
     served_det.pop("wall_seconds")
     assert served_det == direct
 
 
 # ----------------------------------------------------------------------
+# Dispatch at admission
+# ----------------------------------------------------------------------
+def test_repeated_spec_is_answered_at_admission(tmp_path):
+    """A spec the Runner already holds resolves inside the submit: it
+    never enters the queue or the journal, yet it has a /runs record."""
+    runner = Runner()
+    with serve(runner=runner, journal_dir=str(tmp_path / "wal"),
+               journal_fsync=False) as harness:
+        client = client_for(harness)
+        first = client.submit(SMALL)
+        appended = client.healthz()["journal"]["appended"]
+        before = runner.total_stats
+        memo_hits = before.memo_hits
+        ticket = client.submit(SMALL, wait=False)
+        assert ticket["status"] == "done" and ticket["coalesced"] is False
+        assert harness.server.service.depth == 0
+        health = client.healthz()
+        assert health["queue_depth"] == 0
+        assert health["journal"]["appended"] == appended
+        assert runner.total_stats.memo_hits == memo_hits + 1
+        assert before.memo_hits == memo_hits      # a snapshot, not live
+        info = client.run_info(ticket["id"])
+        assert info["status"] == "done"
+        assert info["result"] == first["result"]
+        assert client.metrics()["serve.memo_hits"] == 1
+
+
+def test_short_miss_overtakes_a_long_one_on_a_two_worker_pool():
+    runner = Runner(supervisor=SupervisorConfig(workers=2))
+    with serve(runner=runner) as harness:
+        client = client_for(harness)
+        long_ticket = client.submit(LONG, wait=False)
+        short = client.submit(SMALL)
+        # the short miss ran on the second worker and was answered
+        # while the long one still ran on the first
+        assert client.run_info(long_ticket["id"])["status"] == "running"
+        served = dict(short["result"])
+        served.pop("wall_seconds")
+        assert served == deterministic_dict(
+            execute_spec(spec_from_dict(SMALL)))
+        deadline = time.monotonic() + 60
+        while (info := client.run_info(long_ticket["id"]))["status"] \
+                == "running":
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        assert info["status"] == "done"
+
+
+# ----------------------------------------------------------------------
 # Admission control
 # ----------------------------------------------------------------------
 def test_queue_bound_sheds_with_retry_after():
-    # max_queue=1 and a batch window long enough that the first job is
-    # still unresolved when the second distinct spec arrives.
-    with serve(max_queue=1, batch_window_s=1.0, retry_after_s=2.5) \
-            as harness:
+    # max_queue=1 and a first job long enough that it is still
+    # unresolved when the second distinct spec arrives.
+    with serve(max_queue=1, retry_after_s=2.5) as harness:
         client = client_for(harness)
         first = {}
 
         def post_first():
-            first.update(client.submit(SMALL))
+            first.update(client.submit(LONG))
 
         thread = threading.Thread(target=post_first)
         thread.start()
@@ -252,12 +305,12 @@ def test_queue_bound_sheds_with_retry_after():
 
 
 def test_per_client_cap_sheds_only_the_greedy_client():
-    with serve(per_client_inflight=1, batch_window_s=1.0) as harness:
+    with serve(per_client_inflight=1) as harness:
         client = client_for(harness)
         background = {}
 
         def post_first():
-            background.update(client.submit(SMALL, client="greedy"))
+            background.update(client.submit(LONG, client="greedy"))
 
         thread = threading.Thread(target=post_first)
         thread.start()
@@ -267,17 +320,17 @@ def test_per_client_cap_sheds_only_the_greedy_client():
             time.sleep(0.01)
         # same client over its cap: shed — even for a coalescable spec
         with pytest.raises(ServiceError) as excinfo:
-            client.submit(SMALL, client="greedy")
+            client.submit(LONG, client="greedy")
         assert excinfo.value.status == 429
         # a different client coalesces onto the same in-flight job
-        other = client.submit(SMALL, client="patient")
+        other = client.submit(LONG, client="patient")
         thread.join()
         assert other["coalesced"] is True
         assert other["result"] == background["result"]
 
 
 def test_batch_admission_is_atomic():
-    with serve(max_queue=2, batch_window_s=0.5) as harness:
+    with serve(max_queue=2) as harness:
         client = client_for(harness)
         with pytest.raises(ServiceError) as excinfo:
             client.batch([SMALL, OTHER, dict(SMALL, n_cmps=1)])
@@ -291,7 +344,7 @@ def test_batch_admission_is_atomic():
 # Watchdog: a fault-layer-stalled job resolves as a structured Timeout
 # ----------------------------------------------------------------------
 def test_watchdog_cancels_stalled_job_and_service_recovers():
-    with serve(job_timeout_s=1.0, batch_window_s=0.05) as harness:
+    with serve(job_timeout_s=1.0) as harness:
         client = client_for(harness)
         started = time.monotonic()
         with pytest.raises(ServiceError) as excinfo:
@@ -305,9 +358,9 @@ def test_watchdog_cancels_stalled_job_and_service_recovers():
         metrics = client.metrics()
         assert metrics["serve.timeouts"] == 1
 
-        # the stalled worker thread drains in the background (it holds
-        # the runner lock until its max_cycles bound); after it does,
-        # the service keeps serving
+        # the stalled run drains in the background (it holds the
+        # in-process execution thread until its max_cycles bound); after
+        # it does, the service keeps serving
         time.sleep(3.0)
         response = client.submit(SMALL)
         assert response["status"] == "done"
@@ -399,8 +452,8 @@ def test_figure5_served_rows_match_direct_rows_warm_cache(tmp_path):
 # ServiceConfig validation
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kwargs", [
-    dict(max_queue=0), dict(per_client_inflight=0), dict(max_batch=0),
-    dict(batch_window_s=0), dict(job_timeout_s=-1), dict(retry_after_s=0),
+    dict(max_queue=0), dict(per_client_inflight=0), dict(job_timeout_s=0),
+    dict(drain_timeout_s=-1), dict(job_timeout_s=-1), dict(retry_after_s=0),
     dict(history_limit=0), dict(drain_timeout_s=0),
     dict(retry_jitter=-0.1), dict(retry_jitter=1.0),
     dict(journal_segment_records=0),
@@ -431,7 +484,7 @@ def test_cli_make_server_wires_config_cache_and_verbose(capsys):
     assert server.config.max_queue == 3
     assert server.config.job_timeout_s == 9
     assert server.service.runner.cache is None
-    # --jobs 1 (default) without --supervised: waves run in-process
+    # --jobs 1 (default) without --supervised: misses run in-process
     assert server.service.runner.pool is None
 
 

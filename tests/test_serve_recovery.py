@@ -22,13 +22,16 @@ from repro.serve import (Client, JobJournal, ServerThread, ServiceError,
 
 SMALL = {"workload": "sor", "mode": "single", "n_cmps": 2}
 OTHER = {"workload": "cg", "mode": "double", "n_cmps": 2}
+#: about three times SMALL's simulation (~1 s on a 2-CPU box): real work
+#: that keeps a job unresolved while a test acts on it
+LONG = {"workload": "ocean", "mode": "single", "n_cmps": 4}
 
 
 def serve(tmp_path, **config_kwargs):
     """Journal-enabled in-process service; cache and journal live under
     ``tmp_path`` so a second instance recovers the first's state."""
-    defaults = dict(port=0, batch_window_s=0.05,
-                    journal_dir=str(tmp_path / "wal"), journal_fsync=False)
+    defaults = dict(port=0, journal_dir=str(tmp_path / "wal"),
+                    journal_fsync=False)
     defaults.update(config_kwargs)
     runner = defaults.pop("runner", None)
     if runner is None:
@@ -41,12 +44,12 @@ def serve(tmp_path, **config_kwargs):
 # ----------------------------------------------------------------------
 def test_restart_replays_unresolved_jobs(tmp_path):
     # First life: accept a job but die (stop()) before resolving it —
-    # a long batch window keeps it queued.
-    with serve(tmp_path, batch_window_s=60.0) as harness:
+    # a long simulation keeps it running.
+    with serve(tmp_path) as harness:
         client = Client(harness.host, harness.port)
         assert client.wait_ready(10)
-        accepted = client.submit(SMALL, wait=False)
-        assert accepted["status"] == "queued"
+        accepted = client.submit(LONG, wait=False)
+        assert accepted["status"] == "running"
         # the write-ahead record is on disk before the 202 went out
         snap = client.healthz()
         assert snap["journal"]["live"] == 1
@@ -73,20 +76,20 @@ def test_restart_replays_unresolved_jobs(tmp_path):
 
 
 def test_recovered_result_is_bit_identical_to_direct(tmp_path):
-    with serve(tmp_path, batch_window_s=60.0) as harness:
+    with serve(tmp_path) as harness:
         client = Client(harness.host, harness.port)
         assert client.wait_ready(10)
-        client.submit(SMALL, wait=False)
+        client.submit(LONG, wait=False)
 
     with serve(tmp_path) as harness:
         client = Client(harness.host, harness.port)
         assert client.wait_ready(30)
         # a fresh request for the same spec coalesces/caches onto the
         # recovered execution; its payload must match a direct run
-        served = client.submit(SMALL)["result"]
+        served = client.submit(LONG)["result"]
         served.pop("wall_seconds", None)
         direct = deterministic_dict(Runner(cache=None).run(
-            spec_from_dict(SMALL)))
+            spec_from_dict(LONG)))
         assert served == direct
 
 
@@ -141,7 +144,7 @@ def test_not_ready_before_start_sheds_503(tmp_path):
 
 
 def test_readiness_probe_and_drain_sheds(tmp_path):
-    with serve(tmp_path, batch_window_s=0.05) as harness:
+    with serve(tmp_path) as harness:
         client = Client(harness.host, harness.port)
         assert client.wait_ready(10)
         status, _, body = client._request("GET", "/healthz?ready=1")
@@ -164,14 +167,14 @@ def test_readiness_probe_and_drain_sheds(tmp_path):
 
 
 def test_graceful_drain_finishes_inflight_work(tmp_path):
-    harness = serve(tmp_path, batch_window_s=0.2).start()
+    harness = serve(tmp_path).start()
     try:
         client = Client(harness.host, harness.port)
         assert client.wait_ready(10)
         done = {}
 
         def submit():
-            done.update(client.submit(SMALL))
+            done.update(client.submit(LONG))
         thread = threading.Thread(target=submit)
         thread.start()
         service = harness.server.service
@@ -233,8 +236,7 @@ def test_kill9_mid_wave_loses_no_accepted_work(tmp_path):
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     args = [sys.executable, "-m", "repro.serve", "--port", "0",
             "--journal-dir", str(tmp_path / "wal"),
-            "--cache-dir", str(tmp_path / "cache"),
-            "--batch-window", "0.2"]
+            "--cache-dir", str(tmp_path / "cache")]
 
     def launch():
         process = subprocess.Popen(args, env=env, stderr=subprocess.PIPE,

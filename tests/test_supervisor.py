@@ -5,6 +5,7 @@ crash/hang/poison handling, limits, and Runner integration
 from __future__ import annotations
 
 import multiprocessing
+import threading
 
 import pytest
 
@@ -257,6 +258,65 @@ def test_health_gate_degrades_and_recovers():
     assert supervised.workers == 4
     assert supervised.degraded is False
     assert supervised.healthy()
+
+
+def test_submit_from_two_threads_keeps_retry_breaker_and_wall_limit():
+    """Jobs submitted from two threads at once share one scheduler,
+    yet each crash retry, breaker trip and wall-limit kill comes out as
+    it does in a wave of its own; close() then reaps every worker."""
+    flaky, poison = SMALL, RunSpec(workload="sor", mode="double", n_cmps=2)
+    stuck = RunSpec(workload="sor", mode="single", n_cmps=4)
+    keys = {spec: spec.key() for spec in (flaky, poison, stuck)}
+
+    def chaos(seed):
+        return HarnessChaos(seed=seed, worker_crash_rate=0.5,
+                            worker_hang_rate=0.5)
+
+    def draws(seed, spec, attempts):
+        return [chaos(seed).worker_fault(keys[spec], attempt)
+                for attempt in range(attempts)]
+
+    seed = next(s for s in range(10_000)
+                if draws(s, flaky, 2) == ["crash", None]
+                and draws(s, poison, 2) == ["crash", "crash"]
+                and draws(s, stuck, 1) == ["hang"])
+    supervised = pool(retries=1, breaker_threshold=2,
+                      breaker_cooldown_s=3600.0, wall_limit_s=2.0)
+    supervised.chaos = chaos(seed)
+    tracer = Tracer()
+    results = {}
+
+    def submit_all(specs):
+        futures = {spec: supervised.submit(spec, tracer=tracer)
+                   for spec in specs}
+        results.update((spec, f.result(timeout=60))
+                       for spec, f in futures.items())
+
+    threads = [threading.Thread(target=submit_all, args=(specs,))
+               for specs in ([flaky, poison], [stuck])]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+    assert deterministic_dict(results[flaky]) == \
+        deterministic_dict(Runner(cache=None).run(flaky))
+    assert results[poison].error["type"] == "WorkerCrash"
+    assert results[poison].error["attempts"] == 2
+    assert results[stuck].error["type"] == "Timeout"
+    assert supervised.counts["worker_crashes"] == 3
+    assert supervised.counts["worker_hangs"] == 1
+    assert supervised.counts["retries"] == 2
+    assert not supervised.breaker.allow(keys[poison])
+    assert supervised.breaker.allow(keys[flaky])
+    # the open breaker short-circuits a later submit without a worker
+    again = supervised.submit(poison).result(timeout=60)
+    assert again.error["type"] == "CircuitOpen"
+    assert supervised.counts["worker_crashes"] == 3
+    pids = {s.attrs["pid"] for s in tracer.spans() if s.name == "worker.run"}
+    assert pids
+    supervised.close()
+    assert not pids & {c.pid for c in multiprocessing.active_children()}
 
 
 # ----------------------------------------------------------------------

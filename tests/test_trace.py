@@ -52,7 +52,7 @@ STALLED = RunSpec(workload="sor", mode="single", n_cmps=2,
 
 
 def service_config(**kwargs) -> ServiceConfig:
-    defaults = dict(port=0, batch_window_s=0.05, trace=True)
+    defaults = dict(port=0, trace=True)
     defaults.update(kwargs)
     return ServiceConfig(**defaults)
 
@@ -299,9 +299,13 @@ def test_hang_span_records_timeout_outcome():
 def test_untraced_supervised_wave_adds_no_spans():
     supervised = SupervisedPool(SupervisorConfig(retry_backoff_s=0.01),
                                 workers=2)
-    results, _ = supervised.run_wave([SMALL])
-    assert results[SMALL].error is None
-    assert supervised._tracer is None
+    tracer = Tracer()
+    supervised.run_wave([SMALL], tracer=tracer)
+    traced = len(tracer)
+    # the tracer belongs to the jobs submitted with it, not to the pool
+    results, _ = supervised.run_wave([OTHER])
+    assert results[OTHER].error is None
+    assert len(tracer) == traced
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +346,26 @@ def test_service_request_spans_cover_admission_to_resolution():
                for s in tracer.spans())
 
 
+def test_hit_is_a_root_span_without_queue_or_execute_children():
+    async def scenario(service):
+        first, _ = service.submit_nowait(SMALL, "alice")
+        await asyncio.wait_for(asyncio.shield(first.future), 120)
+        hit, coalesced = service.submit_nowait(SMALL, "bob")
+        assert not coalesced and hit.future.done()
+        return hit
+
+    service, hit = run_service(scenario)
+    trace_id = hit.span.context.trace_id
+    spans = [s for s in service.tracer.spans()
+             if s.context.trace_id == trace_id]
+    root = next(s for s in spans if s.name == "serve.request")
+    assert root.attrs["outcome"] == "hit"
+    assert root.attrs["source"] == "memo"
+    assert root.attrs["job"] == hit.id
+    assert sorted(s.name for s in spans) == ["runner.memo_hit",
+                                             "serve.request"]
+
+
 def test_coalesced_follower_links_leader_trace():
     async def scenario(service):
         leader, _ = service.submit_nowait(SMALL, "a")
@@ -350,7 +374,7 @@ def test_coalesced_follower_links_leader_trace():
         await asyncio.wait_for(asyncio.shield(leader.future), 120)
         return leader
 
-    service, leader = run_service(scenario, batch_window_s=0.2)
+    service, leader = run_service(scenario)
     spans = service.tracer.spans()
     roots = [s for s in spans if s.name == "serve.request"]
     assert len(roots) == 2
@@ -411,8 +435,7 @@ def test_watchdog_timeout_error_carries_trace_id():
         job, _ = service.submit_nowait(STALLED, "a")
         return job, await asyncio.wait_for(asyncio.shield(job.future), 120)
 
-    service, (job, result) = run_service(scenario, job_timeout_s=0.5,
-                                         batch_window_s=0.02)
+    service, (job, result) = run_service(scenario, job_timeout_s=0.5)
     assert result.error["type"] == "Timeout"
     assert result.error["trace_id"] == job.span.context.trace_id
     exec_span = next(s for s in service.tracer.spans()
@@ -426,7 +449,7 @@ def test_untraced_service_keeps_error_payload_shape():
         return await asyncio.wait_for(asyncio.shield(job.future), 120)
 
     service, result = run_service(scenario, job_timeout_s=0.5,
-                                  batch_window_s=0.02, trace=False)
+                                  trace=False)
     assert result.error["type"] == "Timeout"
     assert "trace_id" not in result.error
 
